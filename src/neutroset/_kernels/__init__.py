@@ -1,23 +1,11 @@
-"""Hot-loop kernels with a compiled core and a pure-Python fallback.
+"""Hot-loop kernels: the Monte-Carlo counting loop, in pure Python.
 
-The compiled extension is optional; whichever backend imports first wins,
-compiled preferred. Both implement the same contract and produce
-bit-identical counts (see ``tests/test_volume.py`` and
-``benchmarks/bench_volume.py``).
+``count_satisfying`` counts the rows of a sample block that a family
+constraint admits; ``perfbench/`` measures its throughput.
 """
 
-from neutroset._kernels import _volume_py
-
-try:
-    from neutroset._kernels import _volume_cy as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built; pure Python does the counting
-    _impl = _volume_py
-    BACKEND = "python"
-
-count_satisfying = _impl.count_satisfying
+from neutroset._kernels._volume_py import count_satisfying
 
 
 def backend_name() -> str:
-    return BACKEND
+    return "python"

@@ -1,8 +1,7 @@
 """Pure-Python counting kernel for Monte-Carlo volume estimation.
 
-Kept operation-for-operation identical to the compiled kernel in
-``_volume_cy.pyx`` (same accumulation order, same libm pow), so both
-backends produce bit-identical hit counts on the same sample block.
+Each row is accumulated left to right with ``math.pow`` for general
+exponents, so a hit count is a pure function of the sample block.
 """
 
 from __future__ import annotations

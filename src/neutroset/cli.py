@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 from neutroset import decision, demos, documents, refined
-from neutroset.core import ABS_TOL, NeutrosetError, Triplet
+from neutroset.core import ABS_TOL, NeutrosetError, Triplet, UsageError
 from neutroset.families import (
     analytic_family_volume,
     classify_cube_region,
@@ -272,7 +273,6 @@ def _cmd_volume(args) -> int:
         "family": family.describe(),
         "samples": est.samples,
         "seed": est.seed,
-        "backend": est.backend,
         "estimate": est.estimate,
         "std_error": est.std_error,
         "analytic": analytic,
@@ -288,9 +288,7 @@ def _cmd_refined(args) -> int:
         kind = kinds[args.kind.lower()]
     except KeyError:
         raise NeutrosetError(f"unknown refined kind {args.kind!r}; choose from {sorted(kinds)}") from None
-    fam = refined.RefinedFamilySpec(
-        kind, args.exponent if kind in {refined.RefinedKind.RQROFS, refined.RefinedKind.RNHSNS} else None
-    )
+    fam = refined.RefinedFamilySpec(kind, args.exponent if kind.row.takes_exponent else None)
     comps = refined.RefinedComponents(
         t=tuple(_csv_floats(args.truths)),
         i=tuple(_csv_floats(args.indets)) if args.indets else (),
@@ -305,9 +303,9 @@ def _cmd_refined(args) -> int:
         "bound": float(report.bound),
         "valid": report.valid,
     }
-    if report.valid and fam.kind in (refined.RefinedKind.RPYFS, refined.RefinedKind.RQROFS):
+    if report.valid and kind.row.residual == "hesitancy":
         payload["hesitancy"] = float(refined.refined_hesitancy(comps, fam).v)
-    if report.valid and fam.kind in (refined.RefinedKind.RIIFS, refined.RefinedKind.RSFS):
+    if report.valid and kind.row.residual == "refusal":
         res = refined.refined_refusal(comps, fam)
         payload["refusal"] = float(res.v) if hasattr(res, "v") else (float(res.lo), float(res.hi))
     _render(payload, args.format, args.round)
@@ -339,11 +337,13 @@ def _csv_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise NeutrosetError(f"expected comma-separated numbers, got {text!r}") from None
+        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_decide(args) -> int:
     if args.mode == "three-ways":
+        if args.alpha is None or args.beta is None:
+            raise UsageError("three-ways needs both --alpha and --beta")
         labels, part = decision.three_ways(_csv_floats(args.scores), args.alpha, args.beta)
         payload = {
             "command": "decide three-ways",
@@ -353,9 +353,12 @@ def _cmd_decide(args) -> int:
             "partition": tuple(float(v) for v in part.as_tuple()),
         }
     elif args.mode == "n-ways":
-        arities = tuple(int(x) for x in args.arities.split(","))
+        try:
+            arities = tuple(int(x) for x in args.arities.split(","))
+        except ValueError:
+            arities = ()
         if len(arities) != 3:
-            raise NeutrosetError(f"arities must be three integers p,r,s, got {args.arities!r}")
+            raise UsageError(f"arities must be three integers p,r,s, got {args.arities!r}")
         labels, part = decision.n_ways(_csv_floats(args.scores), _csv_floats(args.cuts), arities)
         payload = {
             "command": "decide n-ways",
@@ -517,6 +520,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
         return args.fn(args)
     except documents.DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)

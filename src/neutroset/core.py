@@ -142,6 +142,14 @@ def inf_of(x: Real | IntervalValue) -> Real:
     return x.lo if isinstance(x, IntervalValue) else x
 
 
+def clamp_at_zero(x: Real) -> Real:
+    """``x``, or a zero of ``x``'s own type where rounding left it below zero.
+
+    ``x - x`` keeps ints and Fractions exact and gives +0.0 for floats.
+    """
+    return x if x > 0 else x - x
+
+
 def scalar_of(x: Real | IntervalValue) -> Real:
     """The scalar value of a component; degenerate intervals collapse."""
     if isinstance(x, IntervalValue):

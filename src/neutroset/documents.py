@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, Triplet, UsageError
-from neutroset.families import EXPONENT_FAMILIES, FamilyKind, FamilySpec
+from neutroset.core import NeutrosetError, Triplet, UsageError, clamp_at_zero
+from neutroset.families import FamilyKind, FamilySpec
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
@@ -35,7 +35,7 @@ class ElementSetDocument:
     def to_labeled_set(self) -> LabeledSet:
         if self.family.kind is FamilyKind.IFS:
             # pairs widen to sum-1 triplets with the derived middle component
-            trips = tuple(Triplet(t, 1 - t - f if 1 - t - f > 0 else 0.0, f) for t, f in self.components)
+            trips = tuple(Triplet(t, clamp_at_zero(1 - t - f), f) for t, f in self.components)
         elif self.family.arity == 3:
             trips = tuple(Triplet(*row) for row in self.components)
         else:
@@ -58,9 +58,10 @@ def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:
     norm = aliases.get(kind_tag.strip().lower(), kind_tag.strip())
     for kind in FamilyKind:
         if kind.value.lower() == norm.lower():
-            if kind in EXPONENT_FAMILIES and exponent is None:
-                raise DocumentError(f"family {kind.value} requires an exponent")
-            return FamilySpec(kind, exponent if kind in EXPONENT_FAMILIES else None)
+            try:
+                return FamilySpec(kind, exponent if kind.row.takes_exponent else None)
+            except UsageError as exc:
+                raise DocumentError(f"family {exc}") from None
     raise DocumentError(f"unknown family tag {kind_tag!r}")
 
 

@@ -1,18 +1,20 @@
 """Set families as named validity predicates over components.
 
-Each family couples an arity (pair or triplet), an exponent, a bound on the
-powered component sum, and a cap on individual components. Derived degrees
-(hesitancy, refusal), embeddings into the neutrosophic triplet space,
-canonical strict-inclusion witnesses, unit-cube geometry, and Monte-Carlo
-volume estimation all live here.
+One table row per family holds what tells it apart: arity, exponent rule,
+bound on the powered component sum, component cap, constrained columns
+and derived degree. Validation, derived degrees (hesitancy, refusal),
+embeddings into the neutrosophic triplet space, unit-cube geometry, and
+Monte-Carlo volume estimation read that row; canonical strict-inclusion
+witnesses also live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +29,35 @@ from neutroset.core import (
     UnitValue,
     UsageError,
     as_component,
+    clamp_at_zero,
     sup_of,
 )
+
+
+class FamilyRow(NamedTuple):
+    """The facts that tell one family from another."""
+
+    arity: int
+    #: 1 or 2, or ``None`` for an exponent parameter that must be >= 1.
+    exponent: int | None
+    #: Whether the powered sum is bounded by the number of components rather than by 1.
+    bound_is_count: bool
+    #: Whether components may exceed 1, up to ``bound ** (1 / exponent)``.
+    extended: bool
+    #: How many leading components the constraint reads.
+    columns: int
+    #: The derived degree the family defines: "hesitancy", "refusal", or ``None``.
+    residual: str | None
+
+    @property
+    def takes_exponent(self) -> bool:
+        return self.exponent is None
+
+    def bound(self, components: int) -> int:
+        return components if self.bound_is_count else 1
+
+    def cap(self, bound: int, exponent: Real) -> float:
+        return float(bound) ** (1.0 / float(exponent)) if self.extended else 1.0
 
 
 class FamilyKind(Enum):
@@ -45,61 +74,72 @@ class FamilyKind(Enum):
     SNS = "SNS"
     NHSNS = "NHSNS"
 
+    @property
+    def row(self) -> FamilyRow:
+        return FAMILY_TABLE[self]
 
-#: Families whose elements carry (T, F) pairs rather than (T, I, F) triplets.
-PAIR_FAMILIES = frozenset({FamilyKind.FS, FamilyKind.IFS, FamilyKind.PYFS, FamilyKind.QROFS})
 
-#: Families that require an explicit exponent parameter.
-EXPONENT_FAMILIES = frozenset({FamilyKind.QROFS, FamilyKind.NHSFS, FamilyKind.NHSNS})
+#: One row per family kind; :class:`FamilyRow` names the columns.
+FAMILY_TABLE = {
+    #                           arity exponent bound_is_count extended columns residual
+    FamilyKind.FS:    FamilyRow(2, 1,    False, False, 1, None),
+    FamilyKind.IFS:   FamilyRow(2, 1,    False, False, 2, "hesitancy"),
+    FamilyKind.IIFS:  FamilyRow(3, 1,    False, False, 3, "refusal"),
+    FamilyKind.NS:    FamilyRow(3, 1,    True,  False, 3, None),
+    FamilyKind.PYFS:  FamilyRow(2, 2,    False, False, 2, "hesitancy"),
+    FamilyKind.QROFS: FamilyRow(2, None, False, False, 2, "hesitancy"),
+    FamilyKind.SFS:   FamilyRow(3, 2,    False, False, 3, "refusal"),
+    FamilyKind.NHSFS: FamilyRow(3, None, False, False, 3, "refusal"),
+    FamilyKind.SNS:   FamilyRow(3, 2,    True,  True,  3, None),
+    FamilyKind.NHSNS: FamilyRow(3, None, True,  True,  3, None),
+}
+
+
+class _TableSpec:
+    """What plain and refined family specs share: the kind's row and the exponent rule."""
+
+    def __post_init__(self):
+        row = self.kind.row
+        e = self.exponent
+        if row.takes_exponent:
+            if e is None:
+                raise UsageError(f"{self.kind.value} requires an exponent >= 1")
+            if isinstance(e, bool) or not isinstance(e, Real) or not e >= 1:
+                raise UsageError(f"{self.kind.value} exponent must be a real number >= 1, got {e!r}")
+        elif e is not None:
+            raise UsageError(f"{self.kind.value} takes no exponent parameter")
+        # resolved once per spec: validate reads it on every element
+        object.__setattr__(self, "_row", row)
+
+    @property
+    def effective_exponent(self) -> Real:
+        return self._row.exponent if self.exponent is None else self.exponent
+
+    def describe(self) -> str:
+        if self.exponent is None:
+            return self.kind.value
+        return f"{self.kind.value}(exponent={self.exponent})"
 
 
 @dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_TableSpec):
     """A family identifier plus its exponent parameter, defining a validity predicate."""
 
     kind: FamilyKind
     exponent: Real | None = None
 
-    def __post_init__(self):
-        if self.kind in EXPONENT_FAMILIES:
-            if self.exponent is None:
-                raise UsageError(f"{self.kind.value} requires an exponent >= 1")
-            if not self.exponent >= 1:
-                raise UsageError(f"{self.kind.value} exponent must be >= 1, got {self.exponent!r}")
-        elif self.exponent is not None:
-            raise UsageError(f"{self.kind.value} takes no exponent parameter")
-
     @property
     def arity(self) -> int:
-        return 2 if self.kind in PAIR_FAMILIES else 3
+        return self._row.arity
 
     @property
-    def effective_exponent(self) -> Real:
-        if self.kind in EXPONENT_FAMILIES:
-            return self.exponent
-        if self.kind in (FamilyKind.PYFS, FamilyKind.SFS, FamilyKind.SNS):
-            return 2
-        return 1
-
-    @property
-    def bound(self) -> Real:
-        if self.kind in (FamilyKind.NS, FamilyKind.SNS, FamilyKind.NHSNS):
-            return 3
-        return 1
+    def bound(self) -> int:
+        return self._row.bound(self._row.arity)
 
     @property
     def component_cap(self) -> float:
         """Upper bound on each individual component."""
-        if self.kind is FamilyKind.SNS:
-            return math.sqrt(3.0)
-        if self.kind is FamilyKind.NHSNS:
-            return 3.0 ** (1.0 / float(self.exponent))
-        return 1.0
-
-    def describe(self) -> str:
-        if self.kind in EXPONENT_FAMILIES:
-            return f"{self.kind.value}(exponent={self.exponent})"
-        return self.kind.value
+        return self._row.cap(self.bound, self.effective_exponent)
 
 
 @dataclass(frozen=True)
@@ -129,35 +169,31 @@ class InclusionClaim(Enum):
     NS_NOT_IIFS = "NS_not_IIFS"
 
 
-def _coerce_components(components, family: FamilySpec) -> tuple:
-    """Normalize caller input to a tuple of raw numbers/intervals of the family's arity."""
-    if isinstance(components, Triplet):
-        parts = components.components()
-    elif isinstance(components, Pair):
+def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
+    """Normalize caller input to a tuple of ``arity`` raw numbers/intervals.
+
+    Under a cap of 1 each component is a unit value as in
+    :mod:`neutroset.core`; extended-range families take raw numbers up to
+    their cap. ``spec`` names the family in errors.
+    """
+    if isinstance(components, (Triplet, Pair)):
         parts = components.components()
     elif isinstance(components, (tuple, list)):
         parts = tuple(components)
     else:
         raise UsageError(f"cannot read components from {type(components).__name__}")
-    if len(parts) != family.arity:
-        raise UsageError(
-            f"{family.describe()} takes {family.arity} components, got {len(parts)}"
-        )
-    cap = family.component_cap
+    if len(parts) != arity:
+        raise UsageError(f"{spec.describe()} takes {arity} components, got {len(parts)}")
     out = []
     for p in parts:
-        if cap == 1.0:
+        if cap == 1.0 or isinstance(p, (UnitValue, IntervalValue)):
             out.append(as_component(p))
+        elif isinstance(p, bool) or not isinstance(p, Real):
+            raise UsageError(f"expected a real number, got {type(p).__name__}")
+        elif not 0 <= p <= cap + ABS_TOL:
+            raise ComponentRangeError(p, f"component {p!r} outside [0, {cap:.6g}]")
         else:
-            # extended-range families carry raw numbers or intervals up to the cap
-            if isinstance(p, (UnitValue, IntervalValue)):
-                out.append(p.v if isinstance(p, UnitValue) else p)
-            elif isinstance(p, Real) and not isinstance(p, bool):
-                if not 0 <= p <= cap + ABS_TOL:
-                    raise ComponentRangeError(p, f"component {p!r} outside [0, {cap:.6g}]")
-                out.append(p)
-            else:
-                raise UsageError(f"expected a real number, got {type(p).__name__}")
+            out.append(p)
     return tuple(out)
 
 
@@ -179,70 +215,60 @@ def validate(components, family: FamilySpec, tol: float = ABS_TOL) -> Validation
     Interval components are judged by their suprema. Returns a report with
     the evaluated constraint value; range violations raise instead.
     """
-    parts = _coerce_components(components, family)
-    sups = [sup_of(p) for p in parts]
-    if family.kind is FamilyKind.FS:
-        # only the membership slot is constrained
-        constrained = sups[:1]
-    else:
-        constrained = sups
-    value = _powered_sum(constrained, family.effective_exponent)
-    ok = value <= family.bound + tol
-    detail = f"{family.describe()}: constraint value {float(value):.6g} vs bound {family.bound}"
-    return ValidationReport(valid=bool(ok), constraint_value=value, bound=family.bound, diagnostics=detail)
+    row = family._row
+    parts = _coerce_components(components, row.arity, family.component_cap, family)
+    value = _powered_sum([sup_of(p) for p in parts[: row.columns]], family.effective_exponent)
+    bound = family.bound
+    ok = value <= bound + tol
+    detail = f"{family.describe()}: constraint value {float(value):.6g} vs bound {bound}"
+    return ValidationReport(valid=bool(ok), constraint_value=value, bound=bound, diagnostics=detail)
 
 
 def _require_valid(components, family: FamilySpec, tol: float = ABS_TOL) -> tuple:
-    parts = _coerce_components(components, family)
+    parts = _coerce_components(components, family.arity, family.component_cap, family)
     report = validate(parts, family, tol)
     if not report.valid:
         raise ConstraintError(report.diagnostics)
     return parts
 
 
-def _residual_root(deficit: Real, exponent: Real) -> float:
-    """The exponent-th root of a residual, clamped against rounding dust."""
+def _residual(name: str, spec, instance, check) -> UnitValue:
+    """Degree ``name`` of a valid instance: what its constraint value leaves short of 1.
+
+    ``check(instance, spec)`` gives the validation report. The powered
+    families take the exponent-th root, so the degree lives on the same
+    scale as the components (for the squared families, the usual square root).
+    """
+    if spec._row.residual != name:
+        kinds = "/".join(k.value for k in type(spec.kind) if k.row.residual == name)
+        raise UsageError(f"{name} is defined for {kinds}, not {spec.describe()}")
+    report = check(instance, spec)
+    if not report.valid:
+        raise ConstraintError(report.diagnostics)
+    deficit = clamp_at_zero(1 - report.constraint_value)
+    e = spec.effective_exponent
+    if e == 1:
+        return UnitValue(deficit)
     d = float(deficit)
-    if d < 0:
-        d = 0.0
-    if exponent == 1:
-        return d
-    if exponent == 2:
-        return math.sqrt(d)
-    return math.pow(d, 1.0 / float(exponent))
+    return UnitValue(math.sqrt(d) if e == 2 else math.pow(d, 1.0 / float(e)))
 
 
 def hesitancy(pair: Pair, family: FamilySpec) -> UnitValue:
-    """Derived indeterminacy of a valid (T, F) pair: what the constraint leaves over.
+    """Derived indeterminacy of a valid (T, F) pair under IFS/PyFS/QROFS.
 
     Plain intuitionistic pairs leave ``1 - T - F``; the squared and q-rung
     variants leave the matching root of ``1 - T^e - F^e``.
     """
-    if family.kind not in (FamilyKind.IFS, FamilyKind.PYFS, FamilyKind.QROFS):
-        raise UsageError(f"hesitancy is defined for IFS/PyFS/QROFS, not {family.describe()}")
-    parts = _require_valid(pair, family)
-    e = family.effective_exponent
-    deficit = 1 - _powered_sum([sup_of(p) for p in parts], e)
-    if e == 1:
-        return UnitValue(deficit if deficit > 0 else 0 * deficit)
-    return UnitValue(_residual_root(deficit, e))
+    return _residual("hesitancy", family, pair, validate)
 
 
 def refusal(triplet: Triplet, family: FamilySpec) -> UnitValue:
     """Residual degree of a valid (T, I, F) triplet under IIFS/SFS/NHSFS.
 
-    The powered families take the exponent-th root of the residual so the
-    result lives on the same scale as the components (for the squared case
-    this is the usual square root).
+    ``1 - T - I - F``, or for the powered families the matching root of
+    ``1 - T^e - I^e - F^e``.
     """
-    if family.kind not in (FamilyKind.IIFS, FamilyKind.SFS, FamilyKind.NHSFS):
-        raise UsageError(f"refusal is defined for IIFS/SFS/NHSFS, not {family.describe()}")
-    parts = _require_valid(triplet, family)
-    e = family.effective_exponent
-    deficit = 1 - _powered_sum([sup_of(p) for p in parts], e)
-    if e == 1:
-        return UnitValue(deficit if deficit > 0 else 0 * deficit)
-    return UnitValue(_residual_root(deficit, e))
+    return _residual("refusal", family, triplet, validate)
 
 
 def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
@@ -252,23 +278,18 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     over; powered families raise each component to the family exponent.
     Triplet families already inside the neutrosophic cube pass through.
     """
-    kind = from_family.kind
+    row = from_family._row
     parts = _require_valid(components, from_family)
     e = from_family.effective_exponent
-    if kind in (FamilyKind.IIFS, FamilyKind.NS):
-        t, i, f = parts
-        return Triplet(t, i, f)
-    if kind in (FamilyKind.IFS, FamilyKind.PYFS, FamilyKind.QROFS):
+    if row.arity == 3 and not row.extended:
+        if row.exponent == 1:
+            return Triplet(*parts)
+        return Triplet(*(_powered_sum([sup_of(p)], e) for p in parts))
+    if row.residual == "hesitancy":
         t, f = (sup_of(p) for p in parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
-        leftover = 1 - tp - fp
-        if leftover < 0:
-            leftover = 0.0
-        return Triplet(tp, leftover, fp)
-    if kind in (FamilyKind.SFS, FamilyKind.NHSFS):
-        t, i, f = (sup_of(p) for p in parts)
-        return Triplet(_powered_sum([t], e), _powered_sum([i], e), _powered_sum([f], e))
+        return Triplet(tp, clamp_at_zero(1 - tp - fp), fp)
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
 
 
@@ -327,7 +348,6 @@ class VolumeEstimate:
     std_error: float
     samples: int
     seed: int
-    backend: str = field(default_factory=_kernels.backend_name)
 
 
 #: Samples generated per block; fixed so the stream consumption is reproducible.
@@ -338,22 +358,22 @@ def estimate_family_volume(family: FamilySpec, samples: int, seed: int) -> Volum
     """Estimate the fraction of the unit hypercube satisfying the family constraint.
 
     Uses a counter-based generator so the estimate is a pure function of
-    (seed, samples), independent of block partitioning and of which
-    counting backend is active.
+    (seed, samples), independent of block partitioning.
     """
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
-    arity = family.arity
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    row = family._row
     exponent = float(family.effective_exponent)
     bound = float(family.bound)
-    ncols = 1 if family.kind is FamilyKind.FS else arity
     gen = np.random.Generator(np.random.Philox(seed))
     remaining = samples
     hits = 0
     while remaining > 0:
         m = min(_SAMPLE_BLOCK, remaining)
-        block = gen.random((m, arity))
-        hits += _kernels.count_satisfying(block, exponent, bound, ABS_TOL, ncols)
+        block = gen.random((m, row.arity))
+        hits += _kernels.count_satisfying(block, exponent, bound, ABS_TOL, row.columns)
         remaining -= m
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
@@ -364,11 +384,11 @@ def analytic_family_volume(family: FamilySpec) -> float:
     """Closed-form counterpart of :func:`estimate_family_volume`.
 
     The admissible region {x in [0,1]^k : sum x_j^n <= 1} has volume
-    Gamma(1 + 1/n)^k / Gamma(1 + k/n); families bounded by 3 admit the
-    whole cube.
+    Gamma(1 + 1/n)^k / Gamma(1 + k/n); a family whose bound admits the
+    all-ones corner admits the whole cube.
     """
-    if family.bound == 3 or family.kind is FamilyKind.FS:
+    k = family._row.columns
+    if k <= family.bound:
         return 1.0
     n = float(family.effective_exponent)
-    k = family.arity
     return math.gamma(1 + 1 / n) ** k / math.gamma(1 + k / n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
-from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError
+from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
 from neutroset.transforms import LabeledSet
 
 
@@ -112,7 +112,7 @@ def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     if sys.system is SystemKind.NS:
         return Triplet(t, norms.join(ia, ib), f)
     if sys.system is SystemKind.IFS:
-        return Triplet(t, _leftover(t, f), f)
+        return Triplet(t, clamp_at_zero(1 - t - f), f)
     if sys.system is SystemKind.IIFS_MIN_I:
         return Triplet(t, norms.meet(ia, ib), f)
     return _restore_sum_bound(t, norms.meet(ia, ib), norms.join(ia, ib), f, sys.overflow)
@@ -128,19 +128,13 @@ def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     if sys.system is SystemKind.NS:
         return Triplet(t, norms.meet(ia, ib), f)
     if sys.system is SystemKind.IFS:
-        return Triplet(t, _leftover(t, f), f)
+        return Triplet(t, clamp_at_zero(1 - t - f), f)
     return Triplet(t, norms.meet(ia, ib), f)
 
 
 def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Implication as (not a) or b."""
     return disjunct(negate(a, sys), b, sys)
-
-
-def _leftover(t: Real, f: Real) -> Real:
-    # derived middle component; guard against rounding pushing it below zero
-    i = 1 - t - f
-    return i if i > 0 else 0 * i
 
 
 def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> Triplet:

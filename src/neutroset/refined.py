@@ -3,8 +3,9 @@
 A refined instance carries tuples of sub-truths, sub-indeterminacies, and
 sub-falsehoods. Family constraints bound the (powered) sum of all
 subcomponents, with the bound growing to the total arity for the
-neutrosophic-style refinements. Degenerate arities (one subcomponent per
-slot) are accepted and reduce to the unrefined families.
+neutrosophic-style refinements. Each refined family reads its plain twin's
+row of :data:`neutroset.families.FAMILY_TABLE`. Degenerate arities (one
+subcomponent per slot) are accepted and reduce to the unrefined families.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ import neutroset.families as families
 from neutroset.core import (
     ABS_TOL,
     ComponentRangeError,
-    ConstraintError,
     IntervalValue,
     Triplet,
     UnitValue,
     UsageError,
+    as_component,
     inf_of,
     sup_of,
 )
-from neutroset.families import ValidationReport
+from neutroset.families import FamilyKind, ValidationReport
 
 
 class RefinedKind(Enum):
@@ -40,64 +41,37 @@ class RefinedKind(Enum):
     RQROFS = "RQROFS"
     RNHSNS = "RNHSNS"
 
+    @property
+    def row(self) -> families.FamilyRow:
+        """The plain twin's row; the bound and cap count every subcomponent."""
+        return TWIN[self].row
 
-#: Refined families whose middle slot must stay empty.
-_NO_I = frozenset({RefinedKind.RFS, RefinedKind.RIFS, RefinedKind.RPYFS, RefinedKind.RQROFS})
 
-#: Refined families that require an exponent parameter.
-_EXPONENTED = frozenset({RefinedKind.RQROFS, RefinedKind.RNHSNS})
+#: Each refined family is its plain twin split into sub-degrees.
+TWIN = {
+    RefinedKind.RFS: FamilyKind.FS,
+    RefinedKind.RIFS: FamilyKind.IFS,
+    RefinedKind.RIIFS: FamilyKind.IIFS,
+    RefinedKind.RNS: FamilyKind.NS,
+    RefinedKind.RPYFS: FamilyKind.PYFS,
+    RefinedKind.RSFS: FamilyKind.SFS,
+    RefinedKind.RQROFS: FamilyKind.QROFS,
+    RefinedKind.RNHSNS: FamilyKind.NHSNS,
+}
 
 
 @dataclass(frozen=True)
-class RefinedFamilySpec:
+class RefinedFamilySpec(families._TableSpec):
     """A refined family identifier plus its exponent parameter where applicable."""
 
     kind: RefinedKind
     exponent: Real | None = None
 
-    def __post_init__(self):
-        if self.kind in _EXPONENTED:
-            if self.exponent is None:
-                raise UsageError(f"{self.kind.value} requires an exponent >= 1")
-            if not self.exponent >= 1:
-                raise UsageError(f"{self.kind.value} exponent must be >= 1, got {self.exponent!r}")
-        elif self.exponent is not None:
-            raise UsageError(f"{self.kind.value} takes no exponent parameter")
-
-    @property
-    def effective_exponent(self) -> Real:
-        if self.kind in _EXPONENTED:
-            return self.exponent
-        if self.kind in (RefinedKind.RPYFS, RefinedKind.RSFS):
-            return 2
-        return 1
-
     def bound(self, arities: tuple[int, int, int]) -> Real:
-        if self.kind in (RefinedKind.RNS, RefinedKind.RNHSNS):
-            return sum(arities)
-        return 1
+        return self._row.bound(sum(arities))
 
     def component_cap(self, arities: tuple[int, int, int]) -> float:
-        if self.kind is RefinedKind.RNHSNS:
-            return sum(arities) ** (1.0 / float(self.exponent))
-        return 1.0
-
-    def describe(self) -> str:
-        if self.kind in _EXPONENTED:
-            return f"{self.kind.value}(exponent={self.exponent})"
-        return self.kind.value
-
-
-def _coerce_part(x, cap: float):
-    if isinstance(x, UnitValue):
-        return x.v
-    if isinstance(x, IntervalValue):
-        return x
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise UsageError(f"expected a real subcomponent, got {type(x).__name__}")
-    if not 0 <= x <= cap + ABS_TOL:
-        raise ComponentRangeError(x, f"subcomponent {x!r} outside [0, {cap:.6g}]")
-    return x
+        return self._row.cap(self.bound(arities), self.effective_exponent)
 
 
 @dataclass(frozen=True)
@@ -133,20 +107,20 @@ class RefinedComponents:
 
 
 def _check_arities(c: RefinedComponents, fam: RefinedFamilySpec) -> None:
+    """The slots follow the twin: fuzzy twins take sub-truths only, pair twins no sub-indeterminacy."""
     p, r, s = c.arities
-    kind = fam.kind
-    if kind is RefinedKind.RFS:
+    row = fam._row
+    name = fam.kind.value
+    if row.columns == 1:
         if p < 2 or r != 0 or s != 0:
-            raise UsageError(f"{kind.value} needs p >= 2 sub-truths and nothing else, got (p={p}, r={r}, s={s})")
-        return
-    if kind in _NO_I:
+            raise UsageError(f"{name} needs p >= 2 sub-truths and nothing else, got (p={p}, r={r}, s={s})")
+    elif row.arity == 2:
         if r != 0:
-            raise UsageError(f"{kind.value} carries no sub-indeterminacies, got r={r}")
+            raise UsageError(f"{name} carries no sub-indeterminacies, got r={r}")
         if s < 1:
-            raise UsageError(f"{kind.value} needs at least one sub-falsehood")
-        return
-    if r < 1 or s < 1:
-        raise UsageError(f"{kind.value} needs at least one subcomponent per slot, got (p={p}, r={r}, s={s})")
+            raise UsageError(f"{name} needs at least one sub-falsehood")
+    elif r < 1 or s < 1:
+        raise UsageError(f"{name} needs at least one subcomponent per slot, got (p={p}, r={r}, s={s})")
 
 
 def validate_refined(c: RefinedComponents, fam: RefinedFamilySpec, tol: float = ABS_TOL) -> ValidationReport:
@@ -157,37 +131,22 @@ def validate_refined(c: RefinedComponents, fam: RefinedFamilySpec, tol: float = 
     neutrosophic-style ones.
     """
     _check_arities(c, fam)
-    cap = fam.component_cap(c.arities)
-    parts = [_coerce_part(v, cap) for v in c.all_parts()]
-    e = fam.effective_exponent
-    value = families._powered_sum([sup_of(p) for p in parts], e)
+    parts = c.all_parts()
+    parts = families._coerce_components(parts, len(parts), fam.component_cap(c.arities), fam)
+    value = families._powered_sum([sup_of(p) for p in parts], fam.effective_exponent)
     bound = fam.bound(c.arities)
     ok = value <= bound + tol
     detail = f"{fam.describe()} {c.arities}: constraint value {float(value):.6g} vs bound {bound}"
     return ValidationReport(valid=bool(ok), constraint_value=value, bound=bound, diagnostics=detail)
 
 
-def _require_valid(c: RefinedComponents, fam: RefinedFamilySpec) -> ValidationReport:
-    report = validate_refined(c, fam)
-    if not report.valid:
-        raise ConstraintError(report.diagnostics)
-    return report
-
-
 def refined_hesitancy(c: RefinedComponents, fam: RefinedFamilySpec) -> UnitValue:
-    """Leftover indeterminacy of a valid RPyFS or RQROFS instance.
+    """Leftover indeterminacy of a valid RIFS, RPyFS or RQROFS instance.
 
     The matching root of ``1 - sum T_j^e - sum F_l^e``; with one sub-truth
     and one sub-falsehood this is exactly the unrefined hesitancy.
     """
-    if fam.kind not in (RefinedKind.RPYFS, RefinedKind.RQROFS):
-        raise UsageError(f"refined hesitancy is defined for RPyFS/RQROFS, not {fam.describe()}")
-    report = _require_valid(c, fam)
-    e = fam.effective_exponent
-    deficit = 1 - report.constraint_value
-    if e == 1:
-        return UnitValue(deficit if deficit > 0 else 0 * deficit)
-    return UnitValue(families._residual_root(deficit, e))
+    return families._residual("hesitancy", fam, c, validate_refined)
 
 
 def refined_refusal(c: RefinedComponents, fam: RefinedFamilySpec) -> UnitValue | IntervalValue:
@@ -197,19 +156,11 @@ def refined_refusal(c: RefinedComponents, fam: RefinedFamilySpec) -> UnitValue |
     the plain sums from 1; with interval subcomponents the result is itself
     an interval, degenerating to a scalar for scalar inputs.
     """
-    if fam.kind not in (RefinedKind.RIIFS, RefinedKind.RSFS):
-        raise UsageError(f"refined refusal is defined for RIIFS/RSFS, not {fam.describe()}")
-    report = _require_valid(c, fam)
-    if fam.kind is RefinedKind.RSFS:
-        return UnitValue(families._residual_root(1 - report.constraint_value, 2))
-    parts = [_coerce_part(v, 1.0) for v in c.all_parts()]
-    has_interval = any(isinstance(p, IntervalValue) for p in parts)
-    hi = 1 - sum(inf_of(p) for p in parts)
-    lo = 1 - sum(sup_of(p) for p in parts)
-    lo = lo if lo > 0 else 0 * lo
-    if has_interval:
-        return IntervalValue(lo, hi)
-    return UnitValue(lo)
+    low = families._residual("refusal", fam, c, validate_refined)
+    parts = [as_component(v) for v in c.all_parts()]
+    if fam.effective_exponent != 1 or not any(isinstance(p, IntervalValue) for p in parts):
+        return low
+    return IntervalValue(low.v, 1 - sum(inf_of(p) for p in parts))
 
 
 def refine(

@@ -20,6 +20,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    clamp_at_zero,
     inf_of,
     sup_of,
 )
@@ -105,8 +106,7 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     for trip in s.triplets:
         parts = tuple(_divide(c, denom) for c in trip.components())
         out.append(Triplet(*parts))
-        leftover = 1 - sum(sup_of(p) for p in parts)
-        refusals.append(UnitValue(leftover if leftover > 0 else 0 * leftover))
+        refusals.append(UnitValue(clamp_at_zero(1 - sum(sup_of(p) for p in parts))))
     labeled = LabeledSet(s.universe, tuple(out), FamilySpec(FamilyKind.IIFS))
     return SupTransformResult(labeled=labeled, refusals=tuple(refusals), denominator=denom)
 

@@ -11,6 +11,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    clamp_at_zero,
     dependence_sum_bound,
     make_unit,
     scalar_of,
@@ -129,3 +130,15 @@ class TestPair:
         assert Pair.from_triplet(Triplet(0.3, 0.6, 0.1)) == Pair(0.3, 0.1)
         with pytest.raises(UsageError):
             Pair.from_triplet(Triplet(0.3, 0.3, 0.1))
+
+
+class TestClampAtZero:
+    @pytest.mark.parametrize("x", [Fraction(-1, 10**10), -1, -1e-17, 0.0, 0, Fraction(0)])
+    def test_zero_of_the_input_type(self, x):
+        got = clamp_at_zero(x)
+        assert got == 0 and type(got) is type(x)
+        assert str(got) != "-0.0"
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), 1, 0.25])
+    def test_positive_values_pass_through(self, x):
+        assert clamp_at_zero(x) is x

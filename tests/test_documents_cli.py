@@ -205,6 +205,7 @@ class TestCliVolume:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["estimate"] - payload["analytic"]) <= 4 * payload["std_error"]
+        assert "backend" not in payload
 
     def test_deterministic_output(self, capsys):
         cli.main(["--format", "json", "volume", "--family", "SFS", "--samples", "5000", "--seed", "3"])
@@ -290,3 +291,59 @@ class TestCliRefinedAndDecide:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["partition"] == [0.3, 0.2, 0.5]
+
+
+class TestExactTypes:
+    def test_int_pair_widens_with_an_int_middle(self):
+        doc = documents.loads(
+            json.dumps(
+                {"format_version": 1, "family": {"kind": "IFS"}, "universe": ["e"], "elements": {"e": [1, 0]}}
+            )
+        )
+        trip = doc.to_labeled_set().triplets[0]
+        assert trip.components() == (1, 0, 0)
+        assert all(type(v) is int for v in trip.components())
+
+
+class TestMalformedCalls:
+    """User errors exit 2 with one line on stderr; an escaping exception fails the test."""
+
+    BAD_EXPONENT = {
+        "format_version": 1,
+        "family": {"kind": "QROFS", "exponent": "abc"},
+        "universe": ["x"],
+        "elements": {"x": [0.5, 0.5]},
+    }
+
+    def _one_line_error(self, argv, capsys) -> str:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_exponent_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.BAD_EXPONENT))
+        assert "exponent" in self._one_line_error(["validate", str(path)], capsys)
+
+    def test_boolean_exponent_rejected(self):
+        with pytest.raises(documents.DocumentError, match="exponent"):
+            documents.family_from_tag("QROFS", True)
+
+    def test_negative_seed(self, capsys):
+        argv = ["volume", "--family", "SFS", "--samples", "1000", "--seed", "-1"]
+        assert "seed" in self._one_line_error(argv, capsys)
+
+    def test_three_ways_without_thresholds(self, capsys):
+        argv = ["decide", "three-ways", "--scores", "0.9,0.5,0.1"]
+        assert "--alpha" in self._one_line_error(argv, capsys)
+
+    def test_n_ways_non_integer_arity(self, capsys):
+        argv = ["decide", "n-ways", "--scores", "0.9,0.6", "--cuts", "0.25,0.5,0.75", "--arities", "1,x,2"]
+        assert "1,x,2" in self._one_line_error(argv, capsys)
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, doc_paths, capsys):
+        argv = ["--format", "json", "--tolerance", tolerance, "validate", str(doc_paths[0])]
+        assert "--tolerance" in self._one_line_error(argv, capsys)

@@ -51,6 +51,39 @@ class TestFamilySpec:
         assert FamilySpec(FamilyKind.SNS).component_cap == pytest.approx(math.sqrt(3))
         assert FamilySpec(FamilyKind.NHSNS, 3).component_cap == pytest.approx(3 ** (1 / 3))
 
+    @pytest.mark.parametrize("exponent", ["abc", True, float("nan")])
+    def test_exponent_rule_rejects(self, exponent):
+        with pytest.raises(UsageError):
+            FamilySpec(FamilyKind.QROFS, exponent)
+
+
+#: (kind, exponent parameter, arity, effective exponent, bound, component cap), as the paper states them.
+PAPER_FAMILIES = [
+    (FamilyKind.FS, None, 2, 1, 1, 1.0),
+    (FamilyKind.IFS, None, 2, 1, 1, 1.0),
+    (FamilyKind.IIFS, None, 3, 1, 1, 1.0),
+    (FamilyKind.NS, None, 3, 1, 3, 1.0),
+    (FamilyKind.PYFS, None, 2, 2, 1, 1.0),
+    (FamilyKind.QROFS, 3, 2, 3, 1, 1.0),
+    (FamilyKind.SFS, None, 3, 2, 1, 1.0),
+    (FamilyKind.NHSFS, 2.5, 3, 2.5, 1, 1.0),
+    (FamilyKind.SNS, None, 3, 2, 3, math.sqrt(3)),
+    (FamilyKind.NHSNS, 3, 3, 3, 3, 3 ** (1 / 3)),
+]
+
+
+@pytest.mark.parametrize("kind,exponent,arity,effective,bound,cap", PAPER_FAMILIES)
+def test_family_properties_match_the_paper(kind, exponent, arity, effective, bound, cap):
+    spec = FamilySpec(kind, exponent)
+    assert spec.arity == arity
+    assert spec.effective_exponent == effective
+    assert spec.bound == bound
+    assert spec.component_cap == cap
+
+
+def test_paper_table_covers_every_family():
+    assert {row[0] for row in PAPER_FAMILIES} == set(FamilyKind)
+
 
 class TestValidate:
     def test_ns_accepts_counterexample_triplet(self):
@@ -185,6 +218,12 @@ class TestEmbedIntoNs:
     def test_qrofs_first_power(self):
         got = embed_into_ns(Pair(0.3, 0.5), FamilySpec(FamilyKind.QROFS, 1))
         assert tuple(float(v) for v in got.scalars()) == pytest.approx((0.3, 0.2, 0.5), abs=1e-9)
+
+    def test_fraction_pair_stays_exact_when_clamped(self):
+        # valid only within tolerance, so the derived middle clamps to an exact zero
+        got = embed_into_ns(Pair(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**10)), IFS)
+        assert got.components() == (Fraction(1, 2), 0, Fraction(1, 2) + Fraction(1, 10**10))
+        assert all(type(v) is Fraction for v in got.components())
 
     def test_identity_for_ns_and_iifs(self):
         t = Triplet(0.2, 0.1, 0.3)

@@ -14,7 +14,7 @@ from neutroset.core import (
     UnitValue,
     UsageError,
 )
-from neutroset.families import FamilyKind, FamilySpec, hesitancy
+from neutroset.families import FamilyKind, FamilySpec, hesitancy, validate
 from neutroset.refined import (
     RefinedComponents,
     RefinedFamilySpec,
@@ -96,6 +96,94 @@ class TestValidateRefined:
         assume(report.valid)
         zeroed = RefinedComponents(t=(0,) + tuple(ts[1:]), i=tuple(is_), f=tuple(fs))
         assert validate_refined(zeroed, RNS).valid
+
+
+#: (kind, exponent parameter, accepted arities, rejected arities, effective exponent,
+#: bound at the accepted arities, component cap there), as the paper states them.
+PAPER_REFINED = [
+    (RefinedKind.RFS, None, (3, 0, 0), (3, 0, 1), 1, 1, 1.0),
+    (RefinedKind.RIFS, None, (2, 0, 3), (2, 1, 3), 1, 1, 1.0),
+    (RefinedKind.RIIFS, None, (2, 1, 3), (2, 0, 3), 1, 1, 1.0),
+    (RefinedKind.RNS, None, (2, 1, 3), (2, 0, 3), 1, 6, 1.0),
+    (RefinedKind.RPYFS, None, (2, 0, 3), (2, 1, 3), 2, 1, 1.0),
+    (RefinedKind.RSFS, None, (2, 1, 3), (2, 0, 3), 2, 1, 1.0),
+    (RefinedKind.RQROFS, 3, (2, 0, 3), (2, 1, 3), 3, 1, 1.0),
+    (RefinedKind.RNHSNS, 2, (2, 1, 3), (2, 0, 3), 2, 6, math.sqrt(6)),
+]
+
+
+def _zeros(arities):
+    p, r, s = arities
+    return RefinedComponents(t=(0,) * p, i=(0,) * r, f=(0,) * s)
+
+
+@pytest.mark.parametrize("kind,exponent,accepted,rejected,effective,bound,cap", PAPER_REFINED)
+def test_refined_properties_match_the_paper(kind, exponent, accepted, rejected, effective, bound, cap):
+    fam = RefinedFamilySpec(kind, exponent)
+    assert fam.effective_exponent == effective
+    assert fam.bound(accepted) == bound
+    assert fam.component_cap(accepted) == cap
+    assert validate_refined(_zeros(accepted), fam).bound == bound
+    with pytest.raises(UsageError):
+        validate_refined(_zeros(rejected), fam)
+
+
+def test_paper_refined_table_covers_every_kind():
+    assert {row[0] for row in PAPER_REFINED} == set(RefinedKind)
+
+
+#: Refined kinds with one sub-degree per slot beside their plain twins.
+TWINS = [
+    (RefinedKind.RIFS, FamilyKind.IFS, False),
+    (RefinedKind.RIIFS, FamilyKind.IIFS, False),
+    (RefinedKind.RNS, FamilyKind.NS, False),
+    (RefinedKind.RPYFS, FamilyKind.PYFS, False),
+    (RefinedKind.RSFS, FamilyKind.SFS, False),
+    (RefinedKind.RQROFS, FamilyKind.QROFS, True),
+    (RefinedKind.RNHSNS, FamilyKind.NHSNS, True),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except (UsageError, ComponentRangeError) as exc:
+        return type(exc).__name__
+    return (r.valid, type(r.bound), r.bound, type(r.constraint_value), repr(r.constraint_value))
+
+
+class TestOneSlotEqualsPlainTwin:
+    @given(
+        st.sampled_from(TWINS),
+        st.one_of(st.sampled_from([1, 2, 3]), st.floats(min_value=1.0, max_value=6.0)),
+        st.data(),
+    )
+    def test_validate_refined_matches_validate(self, twin, exponent, data):
+        rkind, kind, takes_exponent = twin
+        e = exponent if takes_exponent else None
+        # extended-range components reach past 1 and, for larger exponents, past the cap
+        top = 1.8 if kind is FamilyKind.NHSNS else 1.0
+        values = st.one_of(st.floats(min_value=0.0, max_value=top), unit_fractions)
+        t, i, f = data.draw(st.lists(values, min_size=3, max_size=3))
+        plain = FamilySpec(kind, e)
+        if plain.arity == 2:
+            comps, parts = RefinedComponents(t=(t,), f=(f,)), (t, f)
+        else:
+            comps, parts = RefinedComponents(t=(t,), i=(i,), f=(f,)), (t, i, f)
+        got = _outcome(validate_refined, comps, RefinedFamilySpec(rkind, e))
+        assert got == _outcome(validate, parts, plain)
+
+    def test_subcomponent_past_one_rejected_like_a_plain_component(self):
+        with pytest.raises(ComponentRangeError):
+            validate((1 + 1e-12, 0.0), FamilySpec(FamilyKind.IFS))
+        with pytest.raises(ComponentRangeError):
+            validate_refined(RefinedComponents(t=(1 + 1e-12,), f=(0.0,)), RIFS)
+
+    @given(units, units)
+    def test_rifs_hesitancy_equals_plain_ifs(self, t, f):
+        assume(t + f <= 1.0)
+        got = refined_hesitancy(RefinedComponents(t=(t,), f=(f,)), RIFS)
+        assert got == hesitancy(Pair(t, f), FamilySpec(FamilyKind.IFS))
 
 
 class TestRefinedHesitancy:

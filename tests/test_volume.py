@@ -76,19 +76,14 @@ class TestEstimates:
     def test_sample_count_validated(self):
         with pytest.raises(UsageError):
             estimate_family_volume(SFS, 0, seed=1)
+        with pytest.raises(UsageError, match="seed"):
+            estimate_family_volume(SFS, 1000, seed=-1)
 
 
 class TestKernelBackends:
     def _block(self, n=100_000, k=3, seed=123):
         gen = np.random.Generator(np.random.Philox(seed))
         return gen.random((n, k))
-
-    @pytest.mark.parametrize("exponent,bound", [(1.0, 1.0), (2.0, 1.0), (3.5, 1.0), (1.0, 3.0)])
-    def test_backends_agree_bit_for_bit(self, exponent, bound):
-        cy = pytest.importorskip("neutroset._kernels._volume_cy")
-        block = self._block()
-        expected = _volume_py.count_satisfying(block, exponent, bound, 1e-9, 3)
-        assert cy.count_satisfying(block, exponent, bound, 1e-9, 3) == expected
 
     def test_column_restriction(self):
         block = self._block(10_000, 2)
