@@ -288,7 +288,7 @@ def _cmd_refined(args) -> int:
         kind = kinds[args.kind.lower()]
     except KeyError:
         raise NeutrosetError(f"unknown refined kind {args.kind!r}; choose from {sorted(kinds)}") from None
-    fam = refined.RefinedFamilySpec(kind, args.exponent if kind.row.takes_exponent else None)
+    fam = refined.RefinedFamilySpec(kind, args.exponent)
     comps = refined.RefinedComponents(
         t=tuple(_csv_floats(args.truths)),
         i=tuple(_csv_floats(args.indets)) if args.indets else (),
@@ -522,6 +522,8 @@ def main(argv=None) -> int:
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
+        if args.round is not None and args.round < 0:
+            raise UsageError(f"--round must be >= 0, got {args.round}")
         return args.fn(args)
     except documents.DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
@@ -531,9 +533,6 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from neutroset.core import PRINTED_TOL, Triplet
+from neutroset.core import PRINTED_TOL, Pair, Triplet, UsageError
 from neutroset.decision import (
     OffsetClass,
     Verdict,
@@ -29,7 +29,6 @@ from neutroset.families import (
     embed_into_ns,
     validate,
 )
-from neutroset.core import Pair
 from neutroset.operators import (
     Op,
     OperatorSystem,
@@ -323,9 +322,7 @@ def run_exhibit(name: str) -> list[Check]:
     try:
         fn = EXHIBITS[name]
     except KeyError:
-        raise KeyError(
-            f"unknown exhibit {name!r}; available: {', '.join(EXHIBITS)}"
-        ) from None
+        raise UsageError(f"unknown exhibit {name!r}; available: {', '.join(EXHIBITS)}") from None
     return fn()
 
 

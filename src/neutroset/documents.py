@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, Triplet, UsageError, clamp_at_zero
-from neutroset.families import FamilyKind, FamilySpec
+from neutroset.core import NeutrosetError, Pair, Triplet, UsageError
+from neutroset.families import FamilyKind, FamilySpec, embed_into_ns, validate
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
@@ -33,15 +33,10 @@ class ElementSetDocument:
     components: tuple[tuple, ...]
 
     def to_labeled_set(self) -> LabeledSet:
-        if self.family.kind is FamilyKind.IFS:
-            # pairs widen to sum-1 triplets with the derived middle component
-            trips = tuple(Triplet(t, clamp_at_zero(1 - t - f), f) for t, f in self.components)
-        elif self.family.arity == 3:
+        if self.family.arity == 3:
             trips = tuple(Triplet(*row) for row in self.components)
         else:
-            raise UsageError(
-                f"{self.family.describe()} documents hold pairs; no triplet set to form"
-            )
+            trips = tuple(embed_into_ns(row, self.family) for row in self.components)
         return LabeledSet(self.universe, trips, self.family)
 
 
@@ -59,7 +54,7 @@ def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:
     for kind in FamilyKind:
         if kind.value.lower() == norm.lower():
             try:
-                return FamilySpec(kind, exponent if kind.row.takes_exponent else None)
+                return FamilySpec(kind, exponent)
             except UsageError as exc:
                 raise DocumentError(f"family {exc}") from None
     raise DocumentError(f"unknown family tag {kind_tag!r}")
@@ -86,14 +81,15 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
         raise DocumentError('"universe" must be a list of element names')
     if not universe:
         raise DocumentError("universe is empty")
-    if len(set(universe)) != len(universe):
+    names = set(universe)
+    if len(names) != len(universe):
         raise DocumentError("universe contains duplicate element names")
     if not isinstance(elements, dict):
         raise DocumentError('"elements" must map element names to component arrays')
     missing = [u for u in universe if u not in elements]
     if missing:
         raise DocumentError(f"elements missing for {missing}")
-    extra = [k for k in elements if k not in universe]
+    extra = [k for k in elements if k not in names]
     if extra:
         raise DocumentError(f"elements not in universe: {extra}")
     rows = []
@@ -108,8 +104,6 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
         rows.append(tuple(row))
     doc = ElementSetDocument(family=family, universe=tuple(universe), components=tuple(rows))
     if validate_elements:
-        from neutroset.families import validate
-
         for name, row in zip(doc.universe, doc.components):
             report = validate(row, family)
             if not report.valid:
@@ -140,9 +134,6 @@ def dump(doc: ElementSetDocument, path: str | Path) -> None:
 
 
 def from_labeled_set(s: LabeledSet) -> ElementSetDocument:
-    if s.family.kind is FamilyKind.IFS:
-        # sum-1 triplets narrow losslessly to pairs; the middle is derived on load
-        rows = tuple((float(t.scalars()[0]), float(t.scalars()[2])) for t in s.triplets)
-    else:
-        rows = tuple(tuple(float(v) for v in trip.scalars()) for trip in s.triplets)
+    elements = s.triplets if s.family.arity == 3 else tuple(Pair.from_triplet(t) for t in s.triplets)
+    rows = tuple(tuple(float(v) for v in x.scalars()) for x in elements)
     return ElementSetDocument(family=s.family, universe=s.universe, components=rows)

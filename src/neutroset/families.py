@@ -49,10 +49,6 @@ class FamilyRow(NamedTuple):
     #: The derived degree the family defines: "hesitancy", "refusal", or ``None``.
     residual: str | None
 
-    @property
-    def takes_exponent(self) -> bool:
-        return self.exponent is None
-
     def bound(self, components: int) -> int:
         return components if self.bound_is_count else 1
 
@@ -101,7 +97,7 @@ class _TableSpec:
     def __post_init__(self):
         row = self.kind.row
         e = self.exponent
-        if row.takes_exponent:
+        if row.exponent is None:
             if e is None:
                 raise UsageError(f"{self.kind.value} requires an exponent >= 1")
             if isinstance(e, bool) or not isinstance(e, Real) or not e >= 1:
@@ -141,6 +137,11 @@ class FamilySpec(_TableSpec):
         """Upper bound on each individual component."""
         return self._row.cap(self.bound, self.effective_exponent)
 
+    @property
+    def covers_unit_cube(self) -> bool:
+        """Whether every point of the unit cube meets the constraint: no powered component exceeds 1."""
+        return self._row.columns <= self.bound
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -178,6 +179,8 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
     """
     if isinstance(components, (Triplet, Pair)):
         parts = components.components()
+        if len(parts) == arity:
+            return parts  # the type range-checked each component to [0, 1], inside every cap
     elif isinstance(components, (tuple, list)):
         parts = tuple(components)
     else:
@@ -197,9 +200,11 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
     return tuple(out)
 
 
-def _powered_sum(values, exponent: Real) -> Real:
+def _powered_sum(parts, exponent: Real) -> Real:
+    """The powered sum of the components' suprema: what a family's bound limits."""
     acc = 0
-    for v in values:
+    for p in parts:
+        v = sup_of(p)
         if exponent == 1:
             acc = acc + v
         elif exponent == 2:
@@ -207,6 +212,12 @@ def _powered_sum(values, exponent: Real) -> Real:
         else:
             acc = acc + math.pow(v, exponent)
     return acc
+
+
+def _report(parts, exponent: Real, bound: Real, tol: float, label: str) -> ValidationReport:
+    value = _powered_sum(parts, exponent)
+    detail = f"{label}: constraint value {float(value):.6g} vs bound {bound}"
+    return ValidationReport(valid=bool(value <= bound + tol), constraint_value=value, bound=bound, diagnostics=detail)
 
 
 def validate(components, family: FamilySpec, tol: float = ABS_TOL) -> ValidationReport:
@@ -217,19 +228,24 @@ def validate(components, family: FamilySpec, tol: float = ABS_TOL) -> Validation
     """
     row = family._row
     parts = _coerce_components(components, row.arity, family.component_cap, family)
-    value = _powered_sum([sup_of(p) for p in parts[: row.columns]], family.effective_exponent)
-    bound = family.bound
-    ok = value <= bound + tol
-    detail = f"{family.describe()}: constraint value {float(value):.6g} vs bound {bound}"
-    return ValidationReport(valid=bool(ok), constraint_value=value, bound=bound, diagnostics=detail)
+    return _report(parts[: row.columns], family.effective_exponent, family.bound, tol, family.describe())
 
 
-def _require_valid(components, family: FamilySpec, tol: float = ABS_TOL) -> tuple:
-    parts = _coerce_components(components, family.arity, family.component_cap, family)
-    report = validate(parts, family, tol)
-    if not report.valid:
-        raise ConstraintError(report.diagnostics)
-    return parts
+def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
+    """Whether ``components`` are a valid element of ``family``, as :func:`validate` judges.
+
+    An IFS element may also come as the sum-1 triplet :func:`embed_into_ns`
+    widens it to. Range violations raise as in :func:`validate`.
+    """
+    row = family._row
+    if row.arity == 2 and isinstance(components, Triplet):
+        if family.kind is not FamilyKind.IFS:
+            raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
+        return abs(_powered_sum(components.components(), 1) - 1) <= tol
+    parts = _coerce_components(components, row.arity, family.component_cap, family)
+    if family.covers_unit_cube and not row.extended and tol >= 0:
+        return True
+    return _powered_sum(parts[: row.columns], family.effective_exponent) <= family.bound + tol
 
 
 def _residual(name: str, spec, instance, check) -> UnitValue:
@@ -279,12 +295,14 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     Triplet families already inside the neutrosophic cube pass through.
     """
     row = from_family._row
-    parts = _require_valid(components, from_family)
+    parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
+    if not admits(parts, from_family):
+        raise ConstraintError(validate(parts, from_family).diagnostics)
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:
         if row.exponent == 1:
             return Triplet(*parts)
-        return Triplet(*(_powered_sum([sup_of(p)], e) for p in parts))
+        return Triplet(*(_powered_sum([p], e) for p in parts))
     if row.residual == "hesitancy":
         t, f = (sup_of(p) for p in parts)
         tp = t if e == 1 else _powered_sum([t], e)
@@ -387,8 +405,8 @@ def analytic_family_volume(family: FamilySpec) -> float:
     Gamma(1 + 1/n)^k / Gamma(1 + k/n); a family whose bound admits the
     all-ones corner admits the whole cube.
     """
-    k = family._row.columns
-    if k <= family.bound:
+    if family.covers_unit_cube:
         return 1.0
+    k = family._row.columns
     n = float(family.effective_exponent)
     return math.gamma(1 + 1 / n) ** k / math.gamma(1 + k / n)

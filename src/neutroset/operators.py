@@ -22,6 +22,7 @@ from enum import Enum
 from numbers import Real
 
 from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
+from neutroset.families import FamilyKind, FamilySpec, admits
 from neutroset.transforms import LabeledSet
 
 
@@ -60,6 +61,15 @@ class SystemKind(Enum):
     IIFS_MIN_I = "IIFS-min"
 
 
+#: The family each system's operands and results belong to.
+_OPERAND_FAMILY = {
+    SystemKind.NS: FamilySpec(FamilyKind.NS),
+    SystemKind.IFS: FamilySpec(FamilyKind.IFS),
+    SystemKind.IIFS_MAX_I: FamilySpec(FamilyKind.IIFS),
+    SystemKind.IIFS_MIN_I: FamilySpec(FamilyKind.IIFS),
+}
+
+
 class OverflowRule(Enum):
     """How IIFS_MAX_I restores the sum bound when conjunction overflows it.
 
@@ -82,16 +92,12 @@ class OperatorSystem:
     overflow: OverflowRule = OverflowRule.OUTPUT
 
 
-def _require_valid(x: Triplet, sys: OperatorSystem, tol: float = ABS_TOL) -> tuple[Real, Real, Real]:
-    t, i, f = x.scalars()
-    s = t + i + f
-    if sys.system is SystemKind.IFS:
-        if abs(s - 1) > tol:
-            raise ConstraintError(f"IFS operand components must sum to 1, got {float(s)!r}")
-    elif sys.system in (SystemKind.IIFS_MAX_I, SystemKind.IIFS_MIN_I):
-        if s > 1 + tol:
-            raise ConstraintError(f"IIFS operand components must sum to <= 1, got {float(s)!r}")
-    return t, i, f
+def _require_valid(x: Triplet, sys: OperatorSystem) -> tuple[Real, Real, Real]:
+    scalars = x.scalars()
+    family = _OPERAND_FAMILY[sys.system]
+    if not admits(x, family):
+        raise ConstraintError(f"{sys.system.value} operand components sum to {float(sum(scalars))!r}, outside {family.describe()}")
+    return scalars
 
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
@@ -176,12 +182,6 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
     return LabeledSet(a_set.universe, out, family=system_family(sys))
 
 
-def system_family(sys: OperatorSystem):
+def system_family(sys: OperatorSystem) -> FamilySpec:
     """The family tag matching a system's operand convention."""
-    from neutroset.families import FamilyKind, FamilySpec
-
-    if sys.system is SystemKind.NS:
-        return FamilySpec(FamilyKind.NS)
-    if sys.system is SystemKind.IFS:
-        return FamilySpec(FamilyKind.IFS)
-    return FamilySpec(FamilyKind.IIFS)
+    return _OPERAND_FAMILY[sys.system]

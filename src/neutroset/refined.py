@@ -26,7 +26,6 @@ from neutroset.core import (
     UsageError,
     as_component,
     inf_of,
-    sup_of,
 )
 from neutroset.families import FamilyKind, ValidationReport
 
@@ -131,13 +130,8 @@ def validate_refined(c: RefinedComponents, fam: RefinedFamilySpec, tol: float = 
     neutrosophic-style ones.
     """
     _check_arities(c, fam)
-    parts = c.all_parts()
-    parts = families._coerce_components(parts, len(parts), fam.component_cap(c.arities), fam)
-    value = families._powered_sum([sup_of(p) for p in parts], fam.effective_exponent)
-    bound = fam.bound(c.arities)
-    ok = value <= bound + tol
-    detail = f"{fam.describe()} {c.arities}: constraint value {float(value):.6g} vs bound {bound}"
-    return ValidationReport(valid=bool(ok), constraint_value=value, bound=bound, diagnostics=detail)
+    parts = families._coerce_components(c.all_parts(), sum(c.arities), fam.component_cap(c.arities), fam)
+    return families._report(parts, fam.effective_exponent, fam.bound(c.arities), tol, f"{fam.describe()} {c.arities}")
 
 
 def refined_hesitancy(c: RefinedComponents, fam: RefinedFamilySpec) -> UnitValue:

@@ -10,6 +10,7 @@ checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Iterable, Mapping
 
@@ -24,14 +25,7 @@ from neutroset.core import (
     inf_of,
     sup_of,
 )
-from neutroset.families import FamilyKind, FamilySpec, validate
-
-
-def _element_ok(triplet: Triplet, family: FamilySpec, tol: float) -> bool:
-    if family.kind is FamilyKind.IFS:
-        # sum-1 triplets stand in for pairs with a derived middle component
-        return abs(sum(sup_of(c) for c in triplet.components()) - 1) <= tol
-    return validate(triplet, family, tol).valid
+from neutroset.families import FamilyKind, FamilySpec, admits, validate
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class LabeledSet:
         if not self.universe:
             raise UsageError("universe is empty")
         for name, trip in zip(self.universe, self.triplets):
-            if not _element_ok(trip, self.family, ABS_TOL):
+            if not admits(trip, self.family):
                 raise UsageError(
                     f"element {name!r} {tuple(map(float, trip.scalars()))} is not valid under {self.family.describe()}"
                 )
@@ -68,10 +62,15 @@ class LabeledSet:
     def items(self):
         return zip(self.universe, self.triplets)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        # built on first lookup: a set that is never searched by name keeps no index
+        return {name: k for k, name in enumerate(self.universe)}
+
     def element(self, name: str) -> Triplet:
         try:
-            return self.triplets[self.universe.index(name)]
-        except ValueError:
+            return self.triplets[self._index[name]]
+        except KeyError:
             raise UsageError(f"no element named {name!r}") from None
 
 

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from neutroset import cli, documents
-from neutroset.families import FamilyKind
+from neutroset.core import ConstraintError, UsageError
+from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 
 A_N_DOC = {
     "format_version": 1,
@@ -294,6 +296,40 @@ class TestCliRefinedAndDecide:
 
 
 class TestExactTypes:
+    def test_ifs_document_widens_like_embed_into_ns(self):
+        ifs = FamilySpec(FamilyKind.IFS)
+        pairs = (
+            (1, 0),
+            (Fraction(1, 3), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**10)),
+            (0.25, 0.5),
+            (0.7, 0.3 + 5e-10),
+        )
+        doc = documents.ElementSetDocument(ifs, tuple(f"e{k}" for k in range(len(pairs))), pairs)
+        got = doc.to_labeled_set().triplets
+        assert got[1].i == Fraction(1, 6)
+        for trip, pair in zip(got, pairs):
+            want = embed_into_ns(pair, ifs)
+            assert [(type(v), repr(v)) for v in trip.components()] == [
+                (type(v), repr(v)) for v in want.components()
+            ]
+
+    @pytest.mark.parametrize("kind,match", [("PyFS", "only IFS pairs"), ("FS", "no embedding")])
+    def test_pair_documents_of_other_families_form_no_set(self, kind, match):
+        text = json.dumps(
+            {"format_version": 1, "family": {"kind": kind}, "universe": ["e"], "elements": {"e": [0.5, 0.5]}}
+        )
+        with pytest.raises(UsageError, match=match):
+            documents.loads(text).to_labeled_set()
+
+    def test_invalid_unvalidated_ifs_document_fails_to_widen(self):
+        text = json.dumps(
+            {"format_version": 1, "family": {"kind": "IFS"}, "universe": ["e"], "elements": {"e": [0.7, 0.6]}}
+        )
+        doc = documents.loads(text, validate_elements=False)
+        with pytest.raises(ConstraintError):
+            doc.to_labeled_set()
+
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(
             json.dumps(
@@ -347,3 +383,25 @@ class TestMalformedCalls:
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, doc_paths, capsys):
         argv = ["--format", "json", "--tolerance", tolerance, "validate", str(doc_paths[0])]
         assert "--tolerance" in self._one_line_error(argv, capsys)
+
+    def test_unknown_exhibit(self, capsys):
+        assert "nosuch" in self._one_line_error(["demo", "nosuch"], capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "--family", "NS", "--exponent", "2", "--samples", "1000"],
+            ["refined", "--kind", "RNS", "--exponent", "2", "--t", "0.5", "--i", "0.5", "--f", "0.5"],
+        ],
+    )
+    def test_exponent_for_a_family_without_one(self, argv, capsys):
+        assert "exponent" in self._one_line_error(argv, capsys)
+
+    def test_document_with_a_stray_exponent(self, tmp_path, capsys):
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({**A_N_DOC, "family": {"kind": "NS", "exponent": 2}}))
+        assert "exponent" in self._one_line_error(["validate", str(path)], capsys)
+
+    def test_negative_round(self, capsys):
+        argv = ["--round", "-1", "decide", "three-ways", "--scores", "0.55", "--alpha", "0.7", "--beta", "0.3"]
+        assert "--round" in self._one_line_error(argv, capsys)

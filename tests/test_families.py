@@ -18,6 +18,7 @@ from neutroset.families import (
     FamilyKind,
     FamilySpec,
     InclusionClaim,
+    admits,
     classify_cube_region,
     embed_into_ns,
     find_counterexample,
@@ -128,6 +129,17 @@ class TestValidate:
 
     def test_fs_constrains_membership_only(self):
         assert validate((1.0, 1.0), FamilySpec(FamilyKind.FS)).valid
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @given(data=st.data())
+    def test_admits_agrees_with_validate(self, kind, data):
+        family = FamilySpec(kind, 2.5 if kind.row.exponent is None else None)
+        values = st.floats(min_value=0.0, max_value=family.component_cap, allow_nan=False)
+        comps = tuple(data.draw(values) for _ in range(family.arity))
+        if max(comps) <= 1 and data.draw(st.booleans()):
+            comps = (Triplet if family.arity == 3 else Pair)(*comps)
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5, -0.5]))
+        assert admits(comps, family, tol) == validate(comps, family, tol).valid
 
     @given(units, units, units)
     def test_degenerate_interval_equals_scalar(self, t, i, f):

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from neutroset.core import ConstraintError, Triplet, UsageError
+from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec
 from neutroset.operators import (
     NormPair,
@@ -105,7 +105,47 @@ class TestSum1Goldens:
         assert trip(got) == (1.0, 0.0, 0.0)
 
 
+def near_sum_one(values, step):
+    """Triplets anywhere in the cube, or summing to 1 plus a few half-tolerance steps."""
+
+    @st.composite
+    def build(draw):
+        t, f = draw(values), draw(values)
+        i = draw(values) if draw(st.booleans()) else 1 - t - f + draw(st.integers(-5, 5)) * step
+        assume(0 <= i <= 1)
+        return Triplet(t, i, f)
+
+    return build()
+
+
+operand_triplets = near_sum_one(units, ABS_TOL / 2) | near_sum_one(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6), Fraction(ABS_TOL) / 2
+)
+
+
+def operand_rule(x: Triplet, system: SystemKind) -> bool:
+    """The operand constraints written out: IFS sums to 1, IIFS to at most 1, NS is free."""
+    t, i, f = x.scalars()
+    s = t + i + f
+    if system is SystemKind.IFS:
+        return abs(s - 1) <= ABS_TOL
+    if system in (SystemKind.IIFS_MAX_I, SystemKind.IIFS_MIN_I):
+        return s <= 1 + ABS_TOL
+    return True
+
+
 class TestOperandValidation:
+    @settings(max_examples=300)
+    @given(operand_triplets, st.sampled_from(SystemKind))
+    def test_operand_check_follows_the_family_rules(self, x, system):
+        try:
+            negate(x, OperatorSystem(system))
+        except ConstraintError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == operand_rule(x, system)
+
     def test_ifs_requires_sum_one(self):
         with pytest.raises(ConstraintError):
             negate(Triplet(0.3, 0.3, 0.1), IFS)
