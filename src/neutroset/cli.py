@@ -92,7 +92,10 @@ def _print_table(payload: dict, places) -> None:
 
 
 def _family_from_args(args) -> FamilySpec:
-    return documents.family_from_tag(args.family, getattr(args, "exponent", None))
+    try:
+        return documents.family_from_tag(args.family, getattr(args, "exponent", None))
+    except documents.DocumentError as exc:
+        raise UsageError(str(exc)) from None  # a bad flag, not a bad document
 
 
 def _system_from_args(args) -> OperatorSystem:

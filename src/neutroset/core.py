@@ -127,6 +127,8 @@ Component = Real | UnitValue | IntervalValue
 
 def as_component(x: Component) -> Real | IntervalValue:
     """Normalize caller input to a validated raw number or interval."""
+    if type(x) is float and 0 <= x <= 1:
+        return x  # the common case; NaN and infinities fail the range test and take the full check
     if isinstance(x, UnitValue):
         return x.v
     if isinstance(x, IntervalValue):
@@ -171,10 +173,10 @@ class Triplet:
     i: Real | IntervalValue
     f: Real | IntervalValue
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_component(self.t))
-        object.__setattr__(self, "i", as_component(self.i))
-        object.__setattr__(self, "f", as_component(self.f))
+    def __init__(self, t, i, f):  # written out: the generated __init__ would set each field twice
+        object.__setattr__(self, "t", as_component(t))
+        object.__setattr__(self, "i", as_component(i))
+        object.__setattr__(self, "f", as_component(f))
 
     def components(self) -> tuple:
         return (self.t, self.i, self.f)
@@ -198,9 +200,9 @@ class Pair:
     t: Real | IntervalValue
     f: Real | IntervalValue
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_component(self.t))
-        object.__setattr__(self, "f", as_component(self.f))
+    def __init__(self, t, f):
+        object.__setattr__(self, "t", as_component(t))
+        object.__setattr__(self, "f", as_component(f))
 
     def components(self) -> tuple:
         return (self.t, self.f)

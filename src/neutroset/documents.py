@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, Pair, Triplet, UsageError
+from neutroset.core import NeutrosetError, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns, validate
 from neutroset.transforms import LabeledSet
 
@@ -134,6 +134,7 @@ def dump(doc: ElementSetDocument, path: str | Path) -> None:
 
 
 def from_labeled_set(s: LabeledSet) -> ElementSetDocument:
-    elements = s.triplets if s.family.arity == 3 else tuple(Pair.from_triplet(t) for t in s.triplets)
-    rows = tuple(tuple(float(v) for v in x.scalars()) for x in elements)
+    # a pair family's set holds sum-1 triplets it has checked; narrowing drops their derived middle slot
+    keep = slice(None) if s.family.arity == 3 else slice(None, None, 2)
+    rows = tuple(tuple(map(float, t.scalars()[keep])) for t in s.triplets)
     return ElementSetDocument(family=s.family, universe=s.universe, components=rows)

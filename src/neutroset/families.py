@@ -137,11 +137,6 @@ class FamilySpec(_TableSpec):
         """Upper bound on each individual component."""
         return self._row.cap(self.bound, self.effective_exponent)
 
-    @property
-    def covers_unit_cube(self) -> bool:
-        """Whether every point of the unit cube meets the constraint: no powered component exceeds 1."""
-        return self._row.columns <= self.bound
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -242,9 +237,14 @@ def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
         return abs(_powered_sum(components.components(), 1) - 1) <= tol
-    parts = _coerce_components(components, row.arity, family.component_cap, family)
-    if family.covers_unit_cube and not row.extended and tol >= 0:
-        return True
+    return _within_bound(_coerce_components(components, row.arity, family.component_cap, family), family, tol)
+
+
+def _within_bound(parts: tuple, family: FamilySpec, tol: float) -> bool:
+    """:func:`admits` on components already coerced for ``family``."""
+    row = family._row
+    if row.columns <= family.bound and not row.extended and tol >= 0:
+        return True  # the bound admits the all-ones corner, hence every point of the unit cube
     return _powered_sum(parts[: row.columns], family.effective_exponent) <= family.bound + tol
 
 
@@ -296,7 +296,7 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     """
     row = from_family._row
     parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
-    if not admits(parts, from_family):
+    if not _within_bound(parts, from_family, ABS_TOL):
         raise ConstraintError(validate(parts, from_family).diagnostics)
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:
@@ -304,7 +304,7 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
             return Triplet(*parts)
         return Triplet(*(_powered_sum([p], e) for p in parts))
     if row.residual == "hesitancy":
-        t, f = (sup_of(p) for p in parts)
+        t, f = map(sup_of, parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
         return Triplet(tp, clamp_at_zero(1 - tp - fp), fp)
@@ -405,8 +405,8 @@ def analytic_family_volume(family: FamilySpec) -> float:
     Gamma(1 + 1/n)^k / Gamma(1 + k/n); a family whose bound admits the
     all-ones corner admits the whole cube.
     """
-    if family.covers_unit_cube:
-        return 1.0
     k = family._row.columns
+    if k <= family.bound:
+        return 1.0
     n = float(family.effective_exponent)
     return math.gamma(1 + 1 / n) ** k / math.gamma(1 + k / n)

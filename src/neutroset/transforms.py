@@ -10,7 +10,6 @@ checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Real
 from typing import Iterable, Mapping
 
@@ -62,15 +61,10 @@ class LabeledSet:
     def items(self):
         return zip(self.universe, self.triplets)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        # built on first lookup: a set that is never searched by name keeps no index
-        return {name: k for k, name in enumerate(self.universe)}
-
     def element(self, name: str) -> Triplet:
         try:
-            return self.triplets[self._index[name]]
-        except KeyError:
+            return self.triplets[self.universe.index(name)]
+        except ValueError:
             raise UsageError(f"no element named {name!r}") from None
 
 

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -109,6 +111,34 @@ class TestTriplet:
     def test_component_range_still_enforced(self):
         with pytest.raises(ComponentRangeError):
             Triplet(1.2, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (float("nan"), ComponentRangeError),
+            (float("inf"), ComponentRangeError),
+            (float("-inf"), ComponentRangeError),
+            (1.0000000001, ComponentRangeError),
+            (-1e-300, ComponentRangeError),
+            (np.float64("nan"), ComponentRangeError),
+            (np.float64(1.5), ComponentRangeError),
+            (True, UsageError),
+            ("0.5", UsageError),
+        ],
+    )
+    def test_every_slot_checks_range_and_type(self, bad, error):
+        for args in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(error):
+                Triplet(*args)
+        for args in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(error):
+                Pair(*args)
+
+    def test_keyword_construction_keeps_values(self):
+        t = Triplet(t=-0.0, i=Fraction(1, 3), f=1)
+        assert math.copysign(1.0, t.t) == -1.0
+        assert t.components() == (-0.0, Fraction(1, 3), 1) and type(t.f) is int
+        assert Pair(f=0.25, t=0.5) == Pair(0.5, 0.25)
 
     def test_accepts_unit_values_and_intervals(self):
         t = Triplet(UnitValue(0.3), IntervalValue(0.1, 0.2), 0.5)

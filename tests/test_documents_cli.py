@@ -395,12 +395,18 @@ class TestMalformedCalls:
         ],
     )
     def test_exponent_for_a_family_without_one(self, argv, capsys):
-        assert "exponent" in self._one_line_error(argv, capsys)
+        err = self._one_line_error(argv, capsys)
+        assert "exponent" in err and not err.startswith("document error")
+
+    def test_unknown_family_flag_is_no_document_error(self, capsys):
+        err = self._one_line_error(["volume", "--family", "bogus", "--samples", "1000"], capsys)
+        assert err.startswith("error: unknown family tag 'bogus'")
 
     def test_document_with_a_stray_exponent(self, tmp_path, capsys):
         path = tmp_path / "stray.json"
         path.write_text(json.dumps({**A_N_DOC, "family": {"kind": "NS", "exponent": 2}}))
-        assert "exponent" in self._one_line_error(["validate", str(path)], capsys)
+        err = self._one_line_error(["validate", str(path)], capsys)
+        assert err.startswith("document error: family NS takes no exponent parameter")
 
     def test_negative_round(self, capsys):
         argv = ["--round", "-1", "decide", "three-ways", "--scores", "0.55", "--alpha", "0.7", "--beta", "0.3"]
