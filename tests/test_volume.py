@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neutroset import _kernels
-from neutroset._kernels import _volume_py
 from neutroset.core import UsageError
 from neutroset.families import (
     FamilyKind,
@@ -15,6 +14,36 @@ from neutroset.families import (
 
 SFS = FamilySpec(FamilyKind.SFS)
 SIMPLEX = FamilySpec(FamilyKind.NHSFS, 1.0)
+
+
+def oracle_count(samples, exponent, bound, tol, columns=-1):
+    """The counting loop in pure Python: each row summed left to right, ``math.pow`` for general exponents."""
+    ncols = samples.shape[1] if columns < 0 else columns
+    limit = bound + tol
+    hits = 0
+    for row in samples.tolist():
+        acc = 0.0
+        for j in range(ncols):
+            if exponent == 1.0:
+                acc = acc + row[j]
+            elif exponent == 2.0:
+                acc = acc + row[j] * row[j]
+            else:
+                acc = acc + math.pow(row[j], exponent)
+        if acc <= limit:
+            hits += 1
+    return hits
+
+
+def near_limit_rows(n, k, exponent, limit, seed):
+    """Rows in [0, 1)^k within an ulp per component of the surface sum x^e = limit."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    rows = gen.random((n, k))
+    rows *= (limit / np.sum(rows**exponent, axis=1, keepdims=True)) ** (1.0 / exponent)
+    nudge = gen.integers(-1, 2, size=rows.shape)
+    rows = np.where(nudge > 0, np.nextafter(rows, 2.0), rows)
+    rows = np.where(nudge < 0, np.nextafter(rows, 0.0), rows)
+    return rows[np.all(rows < 1.0, axis=1)]
 
 
 class TestAnalyticVolumes:
@@ -85,6 +114,43 @@ class TestKernelBackends:
         gen = np.random.Generator(np.random.Philox(seed))
         return gen.random((n, k))
 
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 1.7, 3.5])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("bound", [1.0, 3.0])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_kernel_equals_oracle(self, exponent, columns, bound, tol):
+        block = self._block(20_000, 3, seed=columns)
+        want = oracle_count(block, exponent, bound, tol, columns)
+        assert _kernels.count_satisfying(block, exponent, bound, tol, columns) == want
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 1.7, 3.5])
+    @pytest.mark.parametrize("columns", [2, 3])
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_kernel_equals_oracle_at_the_limit(self, exponent, columns, tol):
+        # rows within an ulp of the limit bound + tol, where np.power and
+        # math.pow can disagree about the side; built around bound + tol, not
+        # bound, since with tol = 1e-9 rows near bound lie outside the band
+        block = near_limit_rows(20_000, columns, exponent, 1.0 + tol, seed=int(exponent * 10) + columns)
+        assert len(block) > 1_000
+        want = oracle_count(block, exponent, 1.0, tol)
+        assert 0 < want < len(block)
+        assert _kernels.count_satisfying(block, exponent, 1.0, tol) == want
+
+    def test_hit_counts_pinned(self):
+        # hits over three 65,536-sample blocks, recorded with the pure-Python kernel
+        pinned = {
+            ("FS", None): 150_000,
+            ("IIFS", None): 24_933,
+            ("PyFS", None): 117_674,
+            ("SFS", None): 78_562,
+            ("NS", None): 150_000,
+            ("QROFS", 1.7): 109_748,
+            ("NHSFS", 3.5): 115_006,
+        }
+        for (kind, exponent), hits in pinned.items():
+            est = estimate_family_volume(FamilySpec(FamilyKind(kind), exponent), 150_000, seed=2019)
+            assert round(est.estimate * 150_000) == hits, kind
+
     def test_column_restriction(self):
         block = self._block(10_000, 2)
         # restricting to the first column counts membership-only constraints
@@ -95,17 +161,19 @@ class TestKernelBackends:
         # the stream is consumed sequentially, so block size cannot matter
         import neutroset.families as families
 
+        specs = (SFS, FamilySpec(FamilyKind.QROFS, 1.7), FamilySpec(FamilyKind.NHSFS, 3.5))
         original = families._SAMPLE_BLOCK
         try:
             families._SAMPLE_BLOCK = 1 << 8
-            small_blocks = estimate_family_volume(SFS, 30_000, seed=11)
+            small_blocks = [estimate_family_volume(spec, 30_000, seed=11) for spec in specs]
         finally:
             families._SAMPLE_BLOCK = original
-        whole = estimate_family_volume(SFS, 30_000, seed=11)
-        assert small_blocks.estimate == whole.estimate
+        for spec, small in zip(specs, small_blocks):
+            assert small.estimate == estimate_family_volume(spec, 30_000, seed=11).estimate
 
     def test_python_fallback_oracle_loop(self):
         # brute-force recount, row by row, independent of the kernel code path
         block = self._block(2_000, 3, seed=5)
         want = sum(1 for x, y, z in block.tolist() if x * x + y * y + z * z <= 1 + 1e-9)
-        assert _volume_py.count_satisfying(block, 2.0, 1.0, 1e-9, 3) == want
+        assert oracle_count(block, 2.0, 1.0, 1e-9, 3) == want
+        assert _kernels.count_satisfying(block, 2.0, 1.0, 1e-9, 3) == want
