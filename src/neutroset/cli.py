@@ -375,10 +375,11 @@ def _cmd_decide(args) -> int:
     elif args.mode == "neutrosophify":
         sizes = {}
         for item in args.sizes.split(","):
-            label, sep, size = item.partition("=")
-            if not sep:
-                raise NeutrosetError(f"sizes must look like label=number, got {item!r}")
-            sizes[label.strip()] = float(size)
+            label, _, size = item.partition("=")
+            try:
+                sizes[label.strip()] = float(size)  # no "=" leaves size empty, which float rejects
+            except ValueError:
+                raise NeutrosetError(f"sizes must look like label=number, got {item!r}") from None
         group_map = {
             "accept": decision.Verdict.ACCEPT,
             "neutral": decision.Verdict.NONCOMMIT,
@@ -534,8 +535,11 @@ def main(argv=None) -> int:
     except NeutrosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

@@ -188,10 +188,6 @@ class Triplet:
         t, i, f = self.scalars()
         return t + i + f
 
-    def approx_eq(self, other: "Triplet", tol: float = ABS_TOL) -> bool:
-        a, b = self.scalars(), other.scalars()
-        return all(abs(x - y) <= tol for x, y in zip(a, b))
-
 
 @dataclass(frozen=True)
 class Pair:

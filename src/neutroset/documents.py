@@ -10,11 +10,11 @@ elementwise without a set wrapper.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from neutroset.core import NeutrosetError, Triplet, UsageError
-from neutroset.families import FamilyKind, FamilySpec, embed_into_ns, validate
+from neutroset.families import FamilyKind, FamilySpec, admits, embed_into_ns, validate
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
@@ -31,12 +31,18 @@ class ElementSetDocument:
     family: FamilySpec
     universe: tuple[str, ...]
     components: tuple[tuple, ...]
+    #: Whether :func:`loads` found every element valid under ``family``; only it sets this.
+    checked: bool = field(default=False, init=False, compare=False)
 
     def to_labeled_set(self) -> LabeledSet:
         if self.family.arity == 3:
             trips = tuple(Triplet(*row) for row in self.components)
+            checked = self.checked
         else:
             trips = tuple(embed_into_ns(row, self.family) for row in self.components)
+            checked = self.family.kind is FamilyKind.IFS  # embed_into_ns checked each pair
+        if checked:
+            return LabeledSet._of_checked(self.universe, trips, self.family)
         return LabeledSet(self.universe, trips, self.family)
 
 
@@ -102,12 +108,12 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
                 f"element {name!r}: {family.describe()} takes {family.arity} components, got {len(row)}"
             )
         rows.append(tuple(row))
-    doc = ElementSetDocument(family=family, universe=tuple(universe), components=tuple(rows))
     if validate_elements:
-        for name, row in zip(doc.universe, doc.components):
-            report = validate(row, family)
-            if not report.valid:
-                raise DocumentError(f"element {name!r} invalid: {report.diagnostics}")
+        for name, row in zip(universe, rows):
+            if not admits(row, family):
+                raise DocumentError(f"element {name!r} invalid: {validate(row, family).diagnostics}")
+    doc = ElementSetDocument(family=family, universe=tuple(universe), components=tuple(rows))
+    object.__setattr__(doc, "checked", validate_elements)
     return doc
 
 

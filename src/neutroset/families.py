@@ -90,6 +90,21 @@ FAMILY_TABLE = {
     FamilyKind.NHSNS: FamilyRow(3, None, True,  True,  3, None),
 }
 
+#: The paper's inclusion result, smallest first: sum-1 IFS triplets ⊂ IIFS ⊂ NS.
+_INCLUSION_CHAIN = (FamilyKind.IFS, FamilyKind.IIFS, FamilyKind.NS)
+
+
+def includes(outer: FamilySpec, inner: FamilySpec) -> bool:
+    """Whether every triplet :func:`admits` finds valid under ``inner`` is valid under ``outer`` too.
+
+    Both are judged at ``ABS_TOL``: |s - 1| <= tol gives s <= 1 + tol, and
+    ``1 + ABS_TOL`` rounds up, so no sum slips between IFS and IIFS.
+    """
+    chain = _INCLUSION_CHAIN
+    if inner.kind in chain:
+        return outer.kind in chain[chain.index(inner.kind) :]
+    return outer == inner
+
 
 class _TableSpec:
     """What plain and refined family specs share: the kind's row and the exponent rule."""
@@ -100,8 +115,8 @@ class _TableSpec:
         if row.exponent is None:
             if e is None:
                 raise UsageError(f"{self.kind.value} requires an exponent >= 1")
-            if isinstance(e, bool) or not isinstance(e, Real) or not e >= 1:
-                raise UsageError(f"{self.kind.value} exponent must be a real number >= 1, got {e!r}")
+            if isinstance(e, bool) or not isinstance(e, Real) or not 1 <= e < math.inf:
+                raise UsageError(f"{self.kind.value} exponent must be a finite real number >= 1, got {e!r}")
         elif e is not None:
             raise UsageError(f"{self.kind.value} takes no exponent parameter")
         # resolved once per spec: validate reads it on every element
@@ -240,11 +255,16 @@ def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
     return _within_bound(_coerce_components(components, row.arity, family.component_cap, family), family, tol)
 
 
+def _admits_unit_cube(family: FamilySpec) -> bool:
+    """Whether the bound admits the all-ones corner, hence every point of the unit cube."""
+    return family._row.columns <= family.bound
+
+
 def _within_bound(parts: tuple, family: FamilySpec, tol: float) -> bool:
     """:func:`admits` on components already coerced for ``family``."""
     row = family._row
-    if row.columns <= family.bound and not row.extended and tol >= 0:
-        return True  # the bound admits the all-ones corner, hence every point of the unit cube
+    if _admits_unit_cube(family) and not row.extended and tol >= 0:
+        return True
     return _powered_sum(parts[: row.columns], family.effective_exponent) <= family.bound + tol
 
 
@@ -388,6 +408,8 @@ def estimate_family_volume(family: FamilySpec, samples: int, seed: int) -> Volum
     gen = np.random.Generator(np.random.Philox(seed))
     remaining = samples
     hits = 0
+    if _admits_unit_cube(family):
+        hits, remaining = samples, 0  # every sample would hit, so none is drawn
     while remaining > 0:
         m = min(_SAMPLE_BLOCK, remaining)
         block = gen.random((m, row.arity))
@@ -405,8 +427,8 @@ def analytic_family_volume(family: FamilySpec) -> float:
     Gamma(1 + 1/n)^k / Gamma(1 + k/n); a family whose bound admits the
     all-ones corner admits the whole cube.
     """
-    k = family._row.columns
-    if k <= family.bound:
+    if _admits_unit_cube(family):
         return 1.0
+    k = family._row.columns
     n = float(family.effective_exponent)
     return math.gamma(1 + 1 / n) ** k / math.gamma(1 + k / n)

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
+from typing import Iterator
 
 from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
-from neutroset.families import FamilyKind, FamilySpec, admits
+from neutroset.families import FamilyKind, FamilySpec, admits, includes
 from neutroset.transforms import LabeledSet
 
 
@@ -102,16 +103,37 @@ def _require_valid(x: Triplet, sys: OperatorSystem) -> tuple[Real, Real, Real]:
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
     """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I."""
-    t, i, f = _require_valid(a, sys)
+    return _negate(_require_valid(a, sys), sys)
+
+
+def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
+    """Intersection under the system's convention for the middle component."""
+    return _conjunct(_require_valid(a, sys), _require_valid(b, sys), sys)
+
+
+def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
+    """Union; both inconsistent-intuitionistic conventions meet the middle slot here."""
+    return _disjunct(_require_valid(a, sys), _require_valid(b, sys), sys)
+
+
+def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
+    """Implication as (not a) or b."""
+    return _implicate(_require_valid(a, sys), _require_valid(b, sys), sys)
+
+
+# The bodies below take the scalars of operands already checked for the system.
+
+
+def _negate(a: tuple, sys: OperatorSystem) -> Triplet:
+    t, i, f = a
     if sys.system is SystemKind.NS:
         return Triplet(f, 1 - i, t)
     return Triplet(f, i, t)
 
 
-def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
-    """Intersection under the system's convention for the middle component."""
-    ta, ia, fa = _require_valid(a, sys)
-    tb, ib, fb = _require_valid(b, sys)
+def _conjunct(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+    ta, ia, fa = a
+    tb, ib, fb = b
     norms = sys.norms
     t = norms.meet(ta, tb)
     f = norms.join(fa, fb)
@@ -124,10 +146,9 @@ def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     return _restore_sum_bound(t, norms.meet(ia, ib), norms.join(ia, ib), f, sys.overflow)
 
 
-def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
-    """Union; both inconsistent-intuitionistic conventions meet the middle slot here."""
-    ta, ia, fa = _require_valid(a, sys)
-    tb, ib, fb = _require_valid(b, sys)
+def _disjunct(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+    ta, ia, fa = a
+    tb, ib, fb = b
     norms = sys.norms
     t = norms.join(ta, tb)
     f = norms.meet(fa, fb)
@@ -138,9 +159,9 @@ def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     return Triplet(t, norms.meet(ia, ib), f)
 
 
-def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
-    """Implication as (not a) or b."""
-    return disjunct(negate(a, sys), b, sys)
+def _implicate(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+    # negation keeps an operand in its family (T and F swap, NS maps I to 1 - I), so not-a needs no check
+    return _disjunct(_negate(a, sys).scalars(), b, sys)
 
 
 def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> Triplet:
@@ -159,17 +180,25 @@ class Op(Enum):
     NOT = "not"
 
 
-_BINARY = {Op.AND: conjunct, Op.OR: disjunct, Op.IMPLIES: implicate}
+_BINARY = {Op.AND: _conjunct, Op.OR: _disjunct, Op.IMPLIES: _implicate}
+
+
+def _operands(s: LabeledSet, sys: OperatorSystem) -> Iterator[tuple]:
+    """Scalars of each element of ``s``, checked only where the set's family is not inside the system's."""
+    if includes(_OPERAND_FAMILY[sys.system], s.family):
+        return (t.scalars() for t in s.triplets)
+    return (_require_valid(t, sys) for t in s.triplets)
 
 
 def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSystem) -> LabeledSet:
     """Apply an operator elementwise across sets sharing a universe.
 
-    ``NOT`` is unary and ignores ``b_set``. The result is tagged with the
-    system's family so downstream loads re-validate it.
+    ``NOT`` is unary and ignores ``b_set``. Operands are checked against
+    the system's family unless their set's family lies inside it; the
+    result is tagged with the system's family and checked under it.
     """
     if op is Op.NOT:
-        out = tuple(negate(t, sys) for t in a_set.triplets)
+        out = tuple(_negate(x, sys) for x in _operands(a_set, sys))
     else:
         if b_set is None:
             raise UsageError(f"operator {op.value!r} needs two operand sets")
@@ -178,7 +207,7 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
         fn = _BINARY[op]
-        out = tuple(fn(ta, tb, sys) for ta, tb in zip(a_set.triplets, b_set.triplets))
+        out = tuple(fn(x, y, sys) for x, y in zip(_operands(a_set, sys), _operands(b_set, sys)))
     return LabeledSet(a_set.universe, out, family=system_family(sys))
 
 

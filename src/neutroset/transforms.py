@@ -36,8 +36,24 @@ class LabeledSet:
     family: FamilySpec
 
     def __post_init__(self):
-        object.__setattr__(self, "universe", tuple(self.universe))
-        object.__setattr__(self, "triplets", tuple(self.triplets))
+        self._set_elements(self.universe, self.triplets)
+        for name, trip in zip(self.universe, self.triplets):
+            if not admits(trip, self.family):
+                raise UsageError(
+                    f"element {name!r} {tuple(map(float, trip.scalars()))} is not valid under {self.family.describe()}"
+                )
+
+    @classmethod
+    def _of_checked(cls, universe, triplets, family: FamilySpec) -> "LabeledSet":
+        """A set of triplets the caller has already found valid under ``family``; only its shape is checked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "family", family)
+        s._set_elements(universe, triplets)
+        return s
+
+    def _set_elements(self, universe, triplets) -> None:
+        object.__setattr__(self, "universe", tuple(universe))
+        object.__setattr__(self, "triplets", tuple(triplets))
         if len(self.universe) != len(self.triplets):
             raise UsageError(
                 f"{len(self.universe)} element names but {len(self.triplets)} triplets"
@@ -46,11 +62,6 @@ class LabeledSet:
             raise UsageError("universe contains duplicate element names")
         if not self.universe:
             raise UsageError("universe is empty")
-        for name, trip in zip(self.universe, self.triplets):
-            if not admits(trip, self.family):
-                raise UsageError(
-                    f"element {name!r} {tuple(map(float, trip.scalars()))} is not valid under {self.family.describe()}"
-                )
 
     @classmethod
     def from_mapping(cls, elements: Mapping[str, Iterable], family: FamilySpec) -> "LabeledSet":

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from neutroset import cli, documents
-from neutroset.core import ConstraintError, UsageError
+from neutroset.core import ComponentRangeError, ConstraintError, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 
 A_N_DOC = {
@@ -330,6 +330,21 @@ class TestExactTypes:
         with pytest.raises(ConstraintError):
             doc.to_labeled_set()
 
+    @pytest.mark.parametrize(
+        "kind,row,error,match",
+        [
+            ("IIFS", [0.5, 0.5, 0.5], UsageError, "not valid under IIFS"),
+            ("NS", [1.5, 0.5, 0.5], ComponentRangeError, "1.5"),
+        ],
+    )
+    def test_unvalidated_triplet_documents_are_checked_when_they_form_a_set(self, kind, row, error, match):
+        doc = {"format_version": 1, "family": {"kind": kind}, "universe": ["a", "e"]}
+        valid = documents.loads(json.dumps({**doc, "elements": {"a": [0.1, 0.2, 0.3], "e": [0.3, 0.2, 0.1]}}), False)
+        assert valid.to_labeled_set() == documents.loads(documents.dumps(valid)).to_labeled_set()
+        invalid = documents.loads(json.dumps({**doc, "elements": {"a": [0.1, 0.2, 0.3], "e": row}}), False)
+        with pytest.raises(error, match=match):
+            invalid.to_labeled_set()
+
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(
             json.dumps(
@@ -407,6 +422,26 @@ class TestMalformedCalls:
         path.write_text(json.dumps({**A_N_DOC, "family": {"kind": "NS", "exponent": 2}}))
         err = self._one_line_error(["validate", str(path)], capsys)
         assert err.startswith("document error: family NS takes no exponent parameter")
+
+    def test_unreadable_inputs(self, tmp_path, capsys):
+        assert "Is a directory" in self._one_line_error(["validate", str(tmp_path)], capsys)
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(A_N_DOC).replace("x1", "\u00e9").encode("latin-1"))
+        assert "not UTF-8" in self._one_line_error(["validate", str(path)], capsys)
+
+    def test_neutrosophify_size_not_a_number(self, capsys):
+        argv = ["decide", "neutrosophify", "--sizes", "a=x", "--groups", "a=accept"]
+        assert "a=x" in self._one_line_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume", "--family", "QROFS", "--exponent", "inf", "--samples", "1000"],
+            ["refined", "--kind", "RQROFS", "--exponent", "inf", "--t", "0.5", "--f", "0.5"],
+        ],
+    )
+    def test_exponent_must_be_finite(self, argv, capsys):
+        assert "finite" in self._one_line_error(argv, capsys)
 
     def test_negative_round(self, capsys):
         argv = ["--round", "-1", "decide", "three-ways", "--scores", "0.55", "--alpha", "0.7", "--beta", "0.3"]

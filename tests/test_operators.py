@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from neutroset import operators, transforms
 from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError
-from neutroset.families import FamilyKind, FamilySpec
+from neutroset.families import FamilyKind, FamilySpec, admits, includes
 from neutroset.operators import (
     NormPair,
     Op,
@@ -156,6 +157,39 @@ class TestOperandValidation:
 
     def test_ns_accepts_any_cube_point(self):
         negate(Triplet(1.0, 1.0, 1.0), NS)
+
+
+#: Every family whose elements can be triplets, IFS through its sum-1 triplets.
+TRIPLET_FAMILIES = [
+    FamilySpec(kind, exponent)
+    for kind in FamilyKind
+    if kind.row.arity == 3 or kind is FamilyKind.IFS
+    for exponent in ((None,) if kind.row.exponent is not None else (1, 1.7, 2, 3.5))
+]
+
+
+class TestFamilyInclusion:
+    @settings(max_examples=300)
+    @given(operand_triplets)
+    def test_includes_agrees_with_admits(self, x):
+        admitted = [family for family in TRIPLET_FAMILIES if admits(x, family)]
+        for inner in admitted:
+            for outer in TRIPLET_FAMILIES:
+                if includes(outer, inner):
+                    assert outer in admitted, (outer, inner)
+
+    def test_the_papers_chain(self):
+        chain = [FamilySpec(FamilyKind.IFS), FamilySpec(FamilyKind.IIFS), FamilySpec(FamilyKind.NS)]
+        for m, inner in enumerate(chain):
+            for n, outer in enumerate(chain):
+                assert includes(outer, inner) == (m <= n)
+
+    def test_implication_checks_each_operand_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(operators, "admits", lambda x, family: calls.append(x) or admits(x, family))
+        a, b = Triplet(0.2, 0.3, 0.4), Triplet(0.5, 0.1, 0.1)
+        assert trip(implicate(a, b, MAXI)) == (0.5, 0.1, 0.1)
+        assert calls == [a, b]
 
 
 class TestIifsConventions:
@@ -353,3 +387,31 @@ class TestSetwise:
     def test_missing_operand(self):
         with pytest.raises(UsageError):
             setwise(self.A, None, Op.AND, NS)
+
+    @staticmethod
+    def _count_admits(monkeypatch) -> list:
+        calls = []
+
+        def counted(x, family):
+            calls.append(family.kind)
+            return admits(x, family)
+
+        monkeypatch.setattr(operators, "admits", counted)
+        monkeypatch.setattr(transforms, "admits", counted)
+        return calls
+
+    @pytest.mark.parametrize("op", list(Op))
+    def test_checked_operands_are_not_checked_again(self, op, monkeypatch):
+        iifs = FamilySpec(FamilyKind.IIFS)
+        a = LabeledSet.from_mapping({"x1": (0.2, 0.3, 0.4), "x2": (0.5, 0.1, 0.1)}, iifs)
+        b = LabeledSet.from_mapping({"x1": (0.1, 0.1, 0.1), "x2": (0.6, 0.2, 0.2)}, iifs)
+        calls = self._count_admits(monkeypatch)
+        setwise(a, b, op, MAXI)
+        assert calls == [FamilyKind.IIFS] * 2  # the two result elements only
+
+    def test_operands_outside_the_systems_family_are_checked(self, monkeypatch):
+        calls = self._count_admits(monkeypatch)
+        setwise(self.B, self.B, Op.AND, MINI)
+        assert len(calls) == 3 * len(self.B.universe)
+        with pytest.raises(ConstraintError, match=r"^IFS operand components sum to 1\.6, outside IFS$"):
+            setwise(self.A, self.B, Op.OR, IFS)

@@ -95,6 +95,20 @@ class TestEstimates:
         est = estimate_family_volume(FamilySpec(FamilyKind.NS), 10_000, seed=1)
         assert est.estimate == 1.0 and est.std_error == 0.0
 
+    def test_whole_cube_families_draw_no_samples(self, monkeypatch):
+        def no_counting(*args):
+            raise AssertionError("a family that admits the whole cube counted samples")
+
+        monkeypatch.setattr(_kernels, "count_satisfying", no_counting)
+        for spec in (
+            FamilySpec(FamilyKind.NS),
+            FamilySpec(FamilyKind.FS),
+            FamilySpec(FamilyKind.SNS),
+            FamilySpec(FamilyKind.NHSNS, 3.5),
+        ):
+            est = estimate_family_volume(spec, 150_000, seed=2019)
+            assert (est.estimate, est.std_error, est.samples) == (1.0, 0.0, 150_000)
+
     def test_deterministic_per_seed(self):
         a = estimate_family_volume(SFS, 50_000, seed=7)
         b = estimate_family_volume(SFS, 50_000, seed=7)
