@@ -15,19 +15,15 @@ import math
 import sys
 from pathlib import Path
 
-from neutroset import decision, demos, documents, refined
+# demos, decision, refined and indeterminacy are imported inside the command that runs
+# them, so that a call pays only for its own modules (see README, "Start-up")
+from neutroset import documents
 from neutroset.core import ABS_TOL, NeutrosetError, Triplet, UsageError
 from neutroset.families import (
     analytic_family_volume,
     classify_cube_region,
     estimate_family_volume,
     validate,
-)
-from neutroset.indeterminacy import (
-    AdjacencyKind,
-    adjacency_validate,
-    emit_adjacency,
-    parse_adjacency,
 )
 from neutroset.operators import (
     NormPair,
@@ -40,6 +36,10 @@ from neutroset.operators import (
     setwise,
 )
 from neutroset.transforms import normalize_elementwise, sup_transform
+
+
+#: The values of ``indeterminacy.AdjacencyKind``, spelled out so the parser does not load that module.
+MATRIX_KINDS = ("graph", "cognitive-map")
 
 
 def _digest(path: str) -> str:
@@ -224,6 +224,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from neutroset import demos
+
     if args.list:
         for name in demos.EXHIBITS:
             print(name)
@@ -286,6 +288,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_refined(args) -> int:
+    from neutroset import refined
+
     kinds = {k.value.lower(): k for k in refined.RefinedKind}
     try:
         kind = kinds[args.kind.lower()]
@@ -316,10 +320,12 @@ def _cmd_refined(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from neutroset import indeterminacy
+
     text = Path(args.file).read_text(encoding="utf-8")
-    adj = parse_adjacency(text)
-    kind = AdjacencyKind(args.kind)
-    report = adjacency_validate(adj, kind)
+    adj = indeterminacy.parse_adjacency(text)
+    kind = indeterminacy.AdjacencyKind(args.kind)
+    report = indeterminacy.adjacency_validate(adj, kind)
     payload = {
         "command": "matrix",
         "input_digest": _digest(args.file),
@@ -332,7 +338,7 @@ def _cmd_matrix(args) -> int:
     }
     _render(payload, args.format, args.round)
     if args.emit:
-        print(emit_adjacency(adj), end="")
+        print(indeterminacy.emit_adjacency(adj), end="")
     return 0 if report.valid else 1
 
 
@@ -344,6 +350,8 @@ def _csv_floats(text: str) -> list[float]:
 
 
 def _cmd_decide(args) -> int:
+    from neutroset import decision
+
     if args.mode == "three-ways":
         if args.alpha is None or args.beta is None:
             raise UsageError("three-ways needs both --alpha and --beta")
@@ -422,7 +430,11 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--format", choices=("table", "json"), **({"default": d} if suppress else {"default": "table"}))
     parser.add_argument("--round", type=int, metavar="N", help="round printed numbers to N decimals", default=d)
     parser.add_argument(
-        "--tolerance", type=float, help="constraint slack and region tolerance", **({"default": d} if suppress else {"default": ABS_TOL})
+        "--tolerance",
+        type=float,
+        help=f"constraint slack and region tolerance for validate and refined only; op and transform "
+        f"always check at {ABS_TOL:g}",
+        **({"default": d} if suppress else {"default": ABS_TOL}),
     )
     parser.add_argument("--seed", type=int, help="seed for sampling commands", **({"default": d} if suppress else {"default": 0}))
 
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix",
         parents=[common], help="validate an adjacency grid over {0, 1, -1, I}")
     p.add_argument("file")
-    p.add_argument("--kind", choices=[k.value for k in AdjacencyKind], default="graph")
+    p.add_argument("--kind", choices=MATRIX_KINDS, default="graph")
     p.add_argument("--emit", action="store_true", help="re-emit the canonical grid")
     p.set_defaults(fn=_cmd_matrix)
 

@@ -72,6 +72,8 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
     version = raw.get("format_version")

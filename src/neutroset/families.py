@@ -16,9 +16,6 @@ from enum import Enum
 from numbers import Real
 from typing import NamedTuple
 
-import numpy as np
-
-from neutroset import _kernels
 from neutroset.core import (
     ABS_TOL,
     ComponentRangeError,
@@ -402,22 +399,33 @@ def estimate_family_volume(family: FamilySpec, samples: int, seed: int) -> Volum
         raise UsageError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
+    if _admits_unit_cube(family):
+        hits = samples  # every sample would hit, so none is drawn
+    else:
+        hits = _sampled_hits(family, samples, seed)
+    p = hits / samples
+    se = math.sqrt(p * (1.0 - p) / samples)
+    return VolumeEstimate(estimate=p, std_error=se, samples=samples, seed=seed)
+
+
+def _sampled_hits(family: FamilySpec, samples: int, seed: int) -> int:
+    # numpy loads here, on the first draw, so nothing else in the package pays its import
+    import numpy as np
+
+    from neutroset import _kernels
+
     row = family._row
     exponent = float(family.effective_exponent)
     bound = float(family.bound)
     gen = np.random.Generator(np.random.Philox(seed))
     remaining = samples
     hits = 0
-    if _admits_unit_cube(family):
-        hits, remaining = samples, 0  # every sample would hit, so none is drawn
     while remaining > 0:
         m = min(_SAMPLE_BLOCK, remaining)
         block = gen.random((m, row.arity))
         hits += _kernels.count_satisfying(block, exponent, bound, ABS_TOL, row.columns)
         remaining -= m
-    p = hits / samples
-    se = math.sqrt(p * (1.0 - p) / samples)
-    return VolumeEstimate(estimate=p, std_error=se, samples=samples, seed=seed)
+    return hits
 
 
 def analytic_family_volume(family: FamilySpec) -> float:

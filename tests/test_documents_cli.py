@@ -1,11 +1,16 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import neutroset
 from neutroset import cli, documents
 from neutroset.core import ComponentRangeError, ConstraintError, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
+from neutroset.indeterminacy import AdjacencyKind
 
 A_N_DOC = {
     "format_version": 1,
@@ -237,6 +242,11 @@ class TestCliMatrix:
         p.write_text("0 2\n1 0\n")
         assert cli.main(["matrix", str(p)]) == 2
 
+    def test_kind_choices_are_the_adjacency_kinds(self):
+        assert list(cli.MATRIX_KINDS) == [k.value for k in AdjacencyKind]
+        for kind in AdjacencyKind:
+            assert cli.build_parser().parse_args(["matrix", "g.txt", "--kind", kind.value]).kind == kind.value
+
 
 class TestCliRefinedAndDecide:
     def test_refined_hesitancy(self, capsys):
@@ -446,3 +456,80 @@ class TestMalformedCalls:
     def test_negative_round(self, capsys):
         argv = ["--round", "-1", "decide", "three-ways", "--scores", "0.55", "--alpha", "0.7", "--beta", "0.3"]
         assert "--round" in self._one_line_error(argv, capsys)
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        err = self._one_line_error(["validate", str(path)], capsys)
+        assert err == "document error: not valid JSON: nested too deeply\n"
+        with pytest.raises(documents.DocumentError, match="nested too deeply"):
+            documents.loads("[" * 100_000)
+
+
+class TestToleranceScope:
+    """``--tolerance`` reaches ``validate`` and ``refined``; ``op`` and ``transform`` check at ABS_TOL."""
+
+    HALVES = {
+        "format_version": 1,
+        "family": {"kind": "IIFS"},
+        "universe": ["a", "b"],
+        "elements": {"a": [0.5, 0.5, 0.5], "b": [0.5, 0.5, 0.5]},
+    }
+
+    def test_validate_reads_the_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps(self.HALVES))
+        assert cli.main(["--tolerance", "0.5", "validate", str(path)]) == 0
+        assert "all_valid: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["op", "--op", "not", "--system", "IIFS-max"], ["transform", "--method", "sup"]],
+    )
+    def test_documents_load_at_abs_tol(self, argv, tmp_path, capsys):
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps(self.HALVES))
+        assert cli.main(["--tolerance", "0.5", *argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "document error: element 'a' invalid: IIFS: constraint value 1.5 vs bound 1\n"
+
+
+#: Runs in a fresh interpreter: what importing the CLI and running two commands loads.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import neutroset.cli as cli
+
+HEAVY = ("numpy", "neutroset._kernels", "neutroset.demos", "neutroset.decision", "neutroset.refined",
+         "neutroset.indeterminacy")
+report = {"after_import": [m for m in HEAVY if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["decide_exit"] = cli.main(json.loads(sys.argv[1]))
+report["numpy_after_decide"] = "numpy" in sys.modules
+volume = io.StringIO()
+with contextlib.redirect_stdout(volume):
+    report["volume_exit"] = cli.main(json.loads(sys.argv[2]))
+report["numpy_after_volume"] = "numpy" in sys.modules
+report["volume_out"] = volume.getvalue()
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    """Each subcommand imports only its own modules; numpy loads only when ``volume`` draws samples."""
+
+    DECIDE = ["--format", "json", "decide", "three-ways", "--scores", "0.9,0.5,0.1",
+              "--alpha", "0.7", "--beta", "0.3"]
+    VOLUME = ["--format", "json", "volume", "--family", "SFS", "--samples", "5000", "--seed", "3"]
+
+    def test_cli_imports_only_what_the_command_runs(self, capsys):
+        # the package is found from its own location, not from the caller's environment
+        env = {"PYTHONPATH": str(Path(neutroset.__file__).parents[1])}
+        argv = [sys.executable, "-c", STARTUP_PROBE, json.dumps(self.DECIDE), json.dumps(self.VOLUME)]
+        child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        report = json.loads(child.stdout)
+        assert report["after_import"] == []
+        assert report["decide_exit"] == 0 and report["numpy_after_decide"] is False
+        assert report["volume_exit"] == 0 and report["numpy_after_volume"] is True
+        assert cli.main(self.VOLUME) == 0
+        assert report["volume_out"] == capsys.readouterr().out
