@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``op``, ``transform``, ``demo``, ``volume``,
 ``refined``, ``matrix``, ``decide``. Global flags select output format,
 rounding, tolerance, and the sampling seed. Every command is deterministic
-for fixed inputs and flags; exit status 0 means all checks passed.
+for fixed inputs and flags. Exit status 0 means all checks passed, 1 that a
+check failed, 2 a usage or document error, 3 an internal error.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ def _print_table(payload: dict, places) -> None:
             print("  ".join(_fmt_val(r[h], places).ljust(w) for h, w in zip(headers, widths)))
 
 
+def _floats(row) -> tuple:
+    return tuple(map(float, row))
+
+
 def _family_from_args(args) -> FamilySpec:
     try:
         return documents.family_from_tag(args.family, getattr(args, "exponent", None))
@@ -158,11 +163,12 @@ def _cmd_op(args) -> int:
     if args.out:
         documents.dump(out_doc, args.out)
     rows = []
-    for idx, name in enumerate(result.universe):
-        row = {"element": name, "a": tuple(float(v) for v in set_a.triplets[idx].scalars())}
-        if set_b is not None:
-            row["b"] = tuple(float(v) for v in set_b.triplets[idx].scalars())
-        row["result"] = tuple(float(v) for v in result.triplets[idx].scalars())
+    b_rows = set_b.scalar_rows() if set_b is not None else [None] * len(result.universe)
+    for name, a, b, r in zip(result.universe, set_a.scalar_rows(), b_rows, result.scalar_rows()):
+        row = {"element": name, "a": _floats(a)}
+        if b is not None:
+            row["b"] = _floats(b)
+        row["result"] = _floats(r)
         rows.append(row)
     payload = {
         "command": f"op {op.value}",
@@ -183,31 +189,20 @@ def _cmd_op(args) -> int:
 def _cmd_transform(args) -> int:
     doc = documents.load(args.file)
     labeled = doc.to_labeled_set()
-    rows = []
     if args.method == "sup":
         res = sup_transform(labeled)
         result = res.labeled
-        for idx, name in enumerate(result.universe):
-            rows.append(
-                {
-                    "element": name,
-                    "before": tuple(float(v) for v in labeled.triplets[idx].scalars()),
-                    "after": tuple(float(v) for v in result.triplets[idx].scalars()),
-                    "refusal": float(res.refusals[idx].v),
-                }
-            )
         extra = {"denominator": float(res.denominator)}
     else:
         result = normalize_elementwise(labeled)
-        for idx, name in enumerate(result.universe):
-            rows.append(
-                {
-                    "element": name,
-                    "before": tuple(float(v) for v in labeled.triplets[idx].scalars()),
-                    "after": tuple(float(v) for v in result.triplets[idx].scalars()),
-                }
-            )
         extra = {}
+    rows = [
+        {"element": name, "before": _floats(before), "after": _floats(after)}
+        for name, before, after in zip(result.universe, labeled.scalar_rows(), result.scalar_rows())
+    ]
+    if args.method == "sup":
+        for row, refusal in zip(rows, res.refusals):
+            row["refusal"] = float(refusal.v)
     out_doc = documents.from_labeled_set(result)
     if args.out:
         documents.dump(out_doc, args.out)
@@ -437,6 +432,12 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         **({"default": d} if suppress else {"default": ABS_TOL}),
     )
     parser.add_argument("--seed", type=int, help="seed for sampling commands", **({"default": d} if suppress else {"default": 0}))
+    parser.add_argument(
+        "--debug",
+        action="store_true",
+        help="show the traceback of an internal error instead of one line",
+        **({"default": d} if suppress else {}),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,6 +554,12 @@ def main(argv=None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        if args.debug:
+            raise
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

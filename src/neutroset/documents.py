@@ -10,11 +10,13 @@ elementwise without a set wrapper.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, Triplet, UsageError
-from neutroset.families import FamilyKind, FamilySpec, admits, embed_into_ns, validate
+from neutroset.core import NeutrosetError, UsageError
+from neutroset.families import FamilyKind, FamilySpec, _embedded_row, admits, validate
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
@@ -36,14 +38,15 @@ class ElementSetDocument:
 
     def to_labeled_set(self) -> LabeledSet:
         if self.family.arity == 3:
-            trips = tuple(Triplet(*row) for row in self.components)
-            checked = self.checked
+            rows = self.components
+            # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
+            checked = self.checked and not self.family.kind.row.extended
         else:
-            trips = tuple(embed_into_ns(row, self.family) for row in self.components)
-            checked = self.family.kind is FamilyKind.IFS  # embed_into_ns checked each pair
+            rows = [_embedded_row(row, self.family) for row in self.components]
+            checked = self.family.kind is FamilyKind.IFS  # the embedding checked each pair
         if checked:
-            return LabeledSet._of_checked(self.universe, trips, self.family)
-        return LabeledSet(self.universe, trips, self.family)
+            return LabeledSet._of_checked(self.universe, rows, self.family)
+        return LabeledSet._of_rows(self.universe, rows, self.family)
 
 
 def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:
@@ -70,7 +73,7 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
     """Parse a document from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("not valid JSON: nested too deeply") from None
@@ -124,17 +127,36 @@ def load(path: str | Path, validate_elements: bool = True) -> ElementSetDocument
 
 
 def dumps(doc: ElementSetDocument) -> str:
-    """Serialize back to JSON, preserving component values at full precision."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "family": {
-            "kind": doc.family.kind.value,
-            **({"exponent": doc.family.exponent} if doc.family.exponent is not None else {}),
-        },
-        "universe": list(doc.universe),
-        "elements": {name: [float(v) for v in row] for name, row in zip(doc.universe, doc.components)},
+    """Serialize back to JSON, preserving component values at full precision.
+
+    The text is what ``json.dumps(payload, indent=2)`` writes, laid out here
+    row by row: that encoder runs in pure Python once it indents.
+    """
+    family = {
+        "kind": doc.family.kind.value,
+        **({"exponent": doc.family.exponent} if doc.family.exponent is not None else {}),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    elements = {name: [float(v) for v in row] for name, row in zip(doc.universe, doc.components)}
+    names_are_text = all(isinstance(name, str) for name in doc.universe)
+    # a non-finite sum means NaN or an infinity somewhere, which json spells its own way
+    if not (names_are_text and math.isfinite(sum(map(sum, elements.values())))):
+        payload = {"format_version": FORMAT_VERSION, "family": family, "universe": list(doc.universe),
+                   "elements": elements}
+        return json.dumps(payload, indent=2) + "\n"
+    head = json.dumps({"format_version": FORMAT_VERSION, "family": family}, indent=2)[:-2]  # drop "\n}"
+    name = encode_basestring_ascii
+    templates = {arity: _row_template(arity) for arity in set(map(len, elements.values()))}
+    blocks = [templates[len(values)] % (name(key), *values) for key, values in elements.items()]
+    universe = ",".join(["\n    " + name(n) for n in doc.universe])
+    return "".join(
+        [head, ',\n  "universe": [', universe, "\n  ]" if universe else "]",
+         ',\n  "elements": {', ",".join(blocks), "\n  }" if blocks else "}", "\n}\n"]
+    )
+
+
+def _row_template(arity: int) -> str:
+    """One element as ``json.dumps(indent=2)`` lays it out: a %-template for its name and ``arity`` floats."""
+    return "\n    %s: [" + ",".join(["\n      %r"] * arity) + ("\n    ]" if arity else "]")
 
 
 def dump(doc: ElementSetDocument, path: str | Path) -> None:
@@ -144,5 +166,5 @@ def dump(doc: ElementSetDocument, path: str | Path) -> None:
 def from_labeled_set(s: LabeledSet) -> ElementSetDocument:
     # a pair family's set holds sum-1 triplets it has checked; narrowing drops their derived middle slot
     keep = slice(None) if s.family.arity == 3 else slice(None, None, 2)
-    rows = tuple(tuple(map(float, t.scalars()[keep])) for t in s.triplets)
+    rows = tuple(tuple(map(float, row[keep])) for row in s.scalar_rows())
     return ElementSetDocument(family=s.family, universe=s.universe, components=rows)

@@ -11,6 +11,7 @@ witnesses also live here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -112,7 +113,8 @@ class _TableSpec:
         if row.exponent is None:
             if e is None:
                 raise UsageError(f"{self.kind.value} requires an exponent >= 1")
-            if isinstance(e, bool) or not isinstance(e, Real) or not 1 <= e < math.inf:
+            # the largest float, not infinity: math.pow cannot take an int exponent beyond it
+            if isinstance(e, bool) or not isinstance(e, Real) or not 1 <= e <= sys.float_info.max:
                 raise UsageError(f"{self.kind.value} exponent must be a finite real number >= 1, got {e!r}")
         elif e is not None:
             raise UsageError(f"{self.kind.value} takes no exponent parameter")
@@ -135,6 +137,12 @@ class FamilySpec(_TableSpec):
 
     kind: FamilyKind
     exponent: Real | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        # resolved once per spec: admits reads it on every element
+        whole_cube = _admits_unit_cube(self) and not self._row.extended
+        object.__setattr__(self, "_bound_test", (whole_cube, self._row.columns, self.effective_exponent, self.bound))
 
     @property
     def arity(self) -> int:
@@ -244,12 +252,19 @@ def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
     An IFS element may also come as the sum-1 triplet :func:`embed_into_ns`
     widens it to. Range violations raise as in :func:`validate`.
     """
+    if isinstance(components, Triplet):
+        return admits_triplet(components.components(), family, tol)
     row = family._row
-    if row.arity == 2 and isinstance(components, Triplet):
+    return _within_bound(_coerce_components(components, row.arity, family.component_cap, family), family, tol)
+
+
+def admits_triplet(parts: tuple, family: FamilySpec, tol: float = ABS_TOL) -> bool:
+    """:func:`admits` on the components of a :class:`Triplet`, already range-checked to [0, 1]."""
+    if family._row.arity == 2:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
-        return abs(_powered_sum(components.components(), 1) - 1) <= tol
-    return _within_bound(_coerce_components(components, row.arity, family.component_cap, family), family, tol)
+        return abs(_powered_sum(parts, 1) - 1) <= tol
+    return _within_bound(parts, family, tol)
 
 
 def _admits_unit_cube(family: FamilySpec) -> bool:
@@ -259,10 +274,10 @@ def _admits_unit_cube(family: FamilySpec) -> bool:
 
 def _within_bound(parts: tuple, family: FamilySpec, tol: float) -> bool:
     """:func:`admits` on components already coerced for ``family``."""
-    row = family._row
-    if _admits_unit_cube(family) and not row.extended and tol >= 0:
+    whole_cube, columns, exponent, bound = family._bound_test
+    if whole_cube and tol >= 0:
         return True
-    return _powered_sum(parts[: row.columns], family.effective_exponent) <= family.bound + tol
+    return _powered_sum(parts[:columns], exponent) <= bound + tol
 
 
 def _residual(name: str, spec, instance, check) -> UnitValue:
@@ -311,6 +326,11 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     over; powered families raise each component to the family exponent.
     Triplet families already inside the neutrosophic cube pass through.
     """
+    return Triplet(*_embedded_row(components, from_family))
+
+
+def _embedded_row(components, from_family: FamilySpec) -> tuple:
+    """The components of :func:`embed_into_ns`'s triplet, each already in [0, 1]."""
     row = from_family._row
     parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
     if not _within_bound(parts, from_family, ABS_TOL):
@@ -318,13 +338,13 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:
         if row.exponent == 1:
-            return Triplet(*parts)
-        return Triplet(*(_powered_sum([p], e) for p in parts))
+            return parts
+        return tuple(_powered_sum([p], e) for p in parts)
     if row.residual == "hesitancy":
         t, f = map(sup_of, parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
-        return Triplet(tp, clamp_at_zero(1 - tp - fp), fp)
+        return (tp, clamp_at_zero(1 - tp - fp), fp)
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
 
 

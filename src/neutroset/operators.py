@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Iterator
+from typing import Iterable
 
 from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
-from neutroset.families import FamilyKind, FamilySpec, admits, includes
-from neutroset.transforms import LabeledSet
+from neutroset.families import FamilyKind, FamilySpec, admits_triplet, includes
+from neutroset.transforms import LabeledSet, _scalars
 
 
 class TNorm(Enum):
@@ -37,6 +37,30 @@ class TConorm(Enum):
     PROB_SUM = "probsum"
 
 
+# min and max written out for two arguments, returning what the builtins return (the
+# first argument on ties): the builtins' general argument handling costs twice as much
+
+
+def _minimum(a: Real, b: Real) -> Real:
+    return b if b < a else a
+
+
+def _maximum(a: Real, b: Real) -> Real:
+    return b if b > a else a
+
+
+def _product(a: Real, b: Real) -> Real:
+    return a * b
+
+
+def _probabilistic_sum(a: Real, b: Real) -> Real:
+    return a + b - a * b
+
+
+_MEET = {TNorm.MIN: _minimum, TNorm.PRODUCT: _product}
+_JOIN = {TConorm.MAX: _maximum, TConorm.PROB_SUM: _probabilistic_sum}
+
+
 @dataclass(frozen=True)
 class NormPair:
     """A t-norm/t-conorm pair; min/max unless specified otherwise."""
@@ -45,14 +69,10 @@ class NormPair:
     tconorm: TConorm = TConorm.MAX
 
     def meet(self, a: Real, b: Real) -> Real:
-        if self.tnorm is TNorm.MIN:
-            return min(a, b)
-        return a * b
+        return _MEET[self.tnorm](a, b)
 
     def join(self, a: Real, b: Real) -> Real:
-        if self.tconorm is TConorm.MAX:
-            return max(a, b)
-        return a + b - a * b
+        return _JOIN[self.tconorm](a, b)
 
 
 class SystemKind(Enum):
@@ -92,85 +112,93 @@ class OperatorSystem:
     norms: NormPair = NormPair()
     overflow: OverflowRule = OverflowRule.OUTPUT
 
+    def __post_init__(self):
+        # resolved once per system: the operator bodies read it on every element
+        object.__setattr__(
+            self, "_resolved", (self.system, _MEET[self.norms.tnorm], _JOIN[self.norms.tconorm], self.overflow)
+        )
 
-def _require_valid(x: Triplet, sys: OperatorSystem) -> tuple[Real, Real, Real]:
-    scalars = x.scalars()
+
+def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]:
+    """The scalars of a triplet's components, checked against the system's family."""
+    scalars = _scalars(parts)
     family = _OPERAND_FAMILY[sys.system]
-    if not admits(x, family):
+    if not admits_triplet(parts, family):
         raise ConstraintError(f"{sys.system.value} operand components sum to {float(sum(scalars))!r}, outside {family.describe()}")
     return scalars
 
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
     """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I."""
-    return _negate(_require_valid(a, sys), sys)
+    return Triplet(*_negate(_require_valid(a.components(), sys), sys))
 
 
 def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Intersection under the system's convention for the middle component."""
-    return _conjunct(_require_valid(a, sys), _require_valid(b, sys), sys)
+    return Triplet(*_conjunct(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
 
 
 def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Union; both inconsistent-intuitionistic conventions meet the middle slot here."""
-    return _disjunct(_require_valid(a, sys), _require_valid(b, sys), sys)
+    return Triplet(*_disjunct(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
 
 
 def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Implication as (not a) or b."""
-    return _implicate(_require_valid(a, sys), _require_valid(b, sys), sys)
+    return Triplet(*_implicate(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
 
 
-# The bodies below take the scalars of operands already checked for the system.
+# The bodies below take the scalars of operands already checked for the system and
+# return the result's components; callers range-check them (Triplet, or LabeledSet._of_rows).
 
 
-def _negate(a: tuple, sys: OperatorSystem) -> Triplet:
+def _negate(a: tuple, sys: OperatorSystem) -> tuple:
     t, i, f = a
     if sys.system is SystemKind.NS:
-        return Triplet(f, 1 - i, t)
-    return Triplet(f, i, t)
+        return (f, 1 - i, t)
+    return (f, i, t)
 
 
-def _conjunct(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+def _conjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
     ta, ia, fa = a
     tb, ib, fb = b
-    norms = sys.norms
-    t = norms.meet(ta, tb)
-    f = norms.join(fa, fb)
-    if sys.system is SystemKind.NS:
-        return Triplet(t, norms.join(ia, ib), f)
-    if sys.system is SystemKind.IFS:
-        return Triplet(t, clamp_at_zero(1 - t - f), f)
-    if sys.system is SystemKind.IIFS_MIN_I:
-        return Triplet(t, norms.meet(ia, ib), f)
-    return _restore_sum_bound(t, norms.meet(ia, ib), norms.join(ia, ib), f, sys.overflow)
+    kind, meet, join, overflow = sys._resolved
+    t = meet(ta, tb)
+    f = join(fa, fb)
+    if kind is SystemKind.NS:
+        return (t, join(ia, ib), f)
+    if kind is SystemKind.IFS:
+        return (t, clamp_at_zero(1 - t - f), f)
+    if kind is SystemKind.IIFS_MIN_I:
+        return (t, meet(ia, ib), f)
+    return _restore_sum_bound(t, meet(ia, ib), join(ia, ib), f, overflow)
 
 
-def _disjunct(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+def _disjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
     ta, ia, fa = a
     tb, ib, fb = b
-    norms = sys.norms
-    t = norms.join(ta, tb)
-    f = norms.meet(fa, fb)
-    if sys.system is SystemKind.NS:
-        return Triplet(t, norms.meet(ia, ib), f)
-    if sys.system is SystemKind.IFS:
-        return Triplet(t, clamp_at_zero(1 - t - f), f)
-    return Triplet(t, norms.meet(ia, ib), f)
+    kind, meet, join, _ = sys._resolved
+    t = join(ta, tb)
+    f = meet(fa, fb)
+    if kind is SystemKind.NS:
+        return (t, meet(ia, ib), f)
+    if kind is SystemKind.IFS:
+        return (t, clamp_at_zero(1 - t - f), f)
+    return (t, meet(ia, ib), f)
 
 
-def _implicate(a: tuple, b: tuple, sys: OperatorSystem) -> Triplet:
+def _implicate(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
     # negation keeps an operand in its family (T and F swap, NS maps I to 1 - I), so not-a needs no check
-    return _disjunct(_negate(a, sys).scalars(), b, sys)
+    return _disjunct(_negate(a, sys), b, sys)
 
 
-def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> Triplet:
+def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> tuple:
     joined_sum = t + i_joined + f
     if joined_sum <= 1 + ABS_TOL:
-        return Triplet(t, i_joined, f)
+        return (t, i_joined, f)
     if rule is OverflowRule.OUTPUT:
-        return Triplet(t / joined_sum, i_joined / joined_sum, f / joined_sum)
-    return Triplet(t / joined_sum, i_met / joined_sum, f / joined_sum)
+        return (t / joined_sum, i_joined / joined_sum, f / joined_sum)
+    return (t / joined_sum, i_met / joined_sum, f / joined_sum)
 
 
 class Op(Enum):
@@ -183,11 +211,11 @@ class Op(Enum):
 _BINARY = {Op.AND: _conjunct, Op.OR: _disjunct, Op.IMPLIES: _implicate}
 
 
-def _operands(s: LabeledSet, sys: OperatorSystem) -> Iterator[tuple]:
+def _operands(s: LabeledSet, sys: OperatorSystem) -> Iterable[tuple]:
     """Scalars of each element of ``s``, checked only where the set's family is not inside the system's."""
     if includes(_OPERAND_FAMILY[sys.system], s.family):
-        return (t.scalars() for t in s.triplets)
-    return (_require_valid(t, sys) for t in s.triplets)
+        return s.scalar_rows()
+    return (_require_valid(row, sys) for row in s.rows)
 
 
 def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSystem) -> LabeledSet:
@@ -197,8 +225,9 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
     the system's family unless their set's family lies inside it; the
     result is tagged with the system's family and checked under it.
     """
+    # a generator: each result is range-checked as it is made, before the next operands are read
     if op is Op.NOT:
-        out = tuple(_negate(x, sys) for x in _operands(a_set, sys))
+        out = (_negate(x, sys) for x in _operands(a_set, sys))
     else:
         if b_set is None:
             raise UsageError(f"operator {op.value!r} needs two operand sets")
@@ -207,8 +236,8 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
         fn = _BINARY[op]
-        out = tuple(fn(x, y, sys) for x, y in zip(_operands(a_set, sys), _operands(b_set, sys)))
-    return LabeledSet(a_set.universe, out, family=system_family(sys))
+        out = (fn(x, y, sys) for x, y in zip(_operands(a_set, sys), _operands(b_set, sys)))
+    return LabeledSet._of_rows(a_set.universe, out, system_family(sys))
 
 
 def system_family(sys: OperatorSystem) -> FamilySpec:

@@ -10,6 +10,7 @@ checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from typing import Iterable, Mapping
 
@@ -22,46 +23,83 @@ from neutroset.core import (
     UsageError,
     clamp_at_zero,
     inf_of,
+    scalar_of,
     sup_of,
 )
-from neutroset.families import FamilyKind, FamilySpec, admits, validate
+from neutroset.families import FamilyKind, FamilySpec, admits_triplet, validate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LabeledSet:
-    """An ordered universe of named elements with one triplet each, tagged by family."""
+    """An ordered universe of named elements with one triplet each, tagged by family.
+
+    ``rows`` holds each element as the tuple ``Triplet.components()`` gives;
+    ``triplets`` is a view of the rows, built when first read.
+    """
 
     universe: tuple[str, ...]
     triplets: tuple[Triplet, ...]
     family: FamilySpec
 
-    def __post_init__(self):
-        self._set_elements(self.universe, self.triplets)
-        for name, trip in zip(self.universe, self.triplets):
-            if not admits(trip, self.family):
-                raise UsageError(
-                    f"element {name!r} {tuple(map(float, trip.scalars()))} is not valid under {self.family.describe()}"
-                )
+    def __init__(self, universe, triplets, family: FamilySpec):
+        triplets = tuple(triplets)
+        self._set_elements(universe, tuple(_components(t) for t in triplets), family)
+        self.__dict__["triplets"] = triplets  # the view, already at hand
+        self._check_members()
 
     @classmethod
-    def _of_checked(cls, universe, triplets, family: FamilySpec) -> "LabeledSet":
-        """A set of triplets the caller has already found valid under ``family``; only its shape is checked."""
+    def _of_checked(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
+        """A set of rows the caller has already found valid under ``family``; only its shape is checked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "family", family)
-        s._set_elements(universe, triplets)
+        s._set_elements(universe, tuple(rows), family)
         return s
 
-    def _set_elements(self, universe, triplets) -> None:
+    @classmethod
+    def _of_rows(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
+        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them."""
+        # every range first, then membership: the order in which building the Triplets and then the set fails
+        rows = [row if _unit_floats(row) else Triplet(*row).components() for row in rows]
+        s = cls._of_checked(universe, rows, family)
+        s._check_members()
+        return s
+
+    def _set_elements(self, universe, rows: tuple, family: FamilySpec) -> None:
         object.__setattr__(self, "universe", tuple(universe))
-        object.__setattr__(self, "triplets", tuple(triplets))
-        if len(self.universe) != len(self.triplets):
-            raise UsageError(
-                f"{len(self.universe)} element names but {len(self.triplets)} triplets"
-            )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "family", family)
+        if len(self.universe) != len(rows):
+            raise UsageError(f"{len(self.universe)} element names but {len(rows)} triplets")
         if len(set(self.universe)) != len(self.universe):
             raise UsageError("universe contains duplicate element names")
         if not self.universe:
             raise UsageError("universe is empty")
+
+    def _check_members(self) -> None:
+        for name, row in zip(self.universe, self.rows):
+            if not admits_triplet(row, self.family):
+                raise UsageError(
+                    f"element {name!r} {tuple(map(float, _scalars(row)))} is not valid under {self.family.describe()}"
+                )
+
+    @cached_property
+    def triplets(self) -> tuple[Triplet, ...]:
+        return tuple(Triplet(*row) for row in self.rows)
+
+    @cached_property
+    def _has_intervals(self) -> bool:
+        return any(isinstance(c, IntervalValue) for row in self.rows for c in row)
+
+    def scalar_rows(self) -> Iterable[tuple]:
+        """Each element's ``Triplet.scalars()``, computed as they are read."""
+        return map(_scalars, self.rows) if self._has_intervals else self.rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.universe, self.rows, self.family) == (other.universe, other.rows, other.family)
+
+    def __hash__(self):
+        return hash((self.universe, self.rows, self.family))
 
     @classmethod
     def from_mapping(cls, elements: Mapping[str, Iterable], family: FamilySpec) -> "LabeledSet":
@@ -77,6 +115,27 @@ class LabeledSet:
             return self.triplets[self.universe.index(name)]
         except ValueError:
             raise UsageError(f"no element named {name!r}") from None
+
+
+def _components(t) -> tuple:
+    if not isinstance(t, Triplet):
+        raise UsageError(f"set elements must be Triplets, got {type(t).__name__}")
+    return t.components()
+
+
+def _unit_floats(row: tuple) -> bool:
+    """Whether every component is a float in [0, 1], which ``Triplet`` would keep as it is."""
+    if len(row) != 3:
+        return False
+    t, i, f = row
+    return (
+        type(t) is float and 0 <= t <= 1 and type(i) is float and 0 <= i <= 1 and type(f) is float and 0 <= f <= 1
+    )
+
+
+def _scalars(row: tuple) -> tuple:
+    """``Triplet(*row).scalars()``: degenerate intervals collapse, others raise."""
+    return tuple(map(scalar_of, row))
 
 
 def _divide(component, denom: Real):
@@ -101,17 +160,18 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     what its rescaled components leave short of 1. Requires a nonzero
     sup-sum across the universe.
     """
-    sups = [max(sup_of(t.components()[k]) for t in s.triplets) for k in range(3)]
+    rows = s.rows
+    sups = [max(sup_of(row[k]) for row in rows) for k in range(3)]
     denom = sups[0] + sups[1] + sups[2]
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
     out = []
     refusals = []
-    for trip in s.triplets:
-        parts = tuple(_divide(c, denom) for c in trip.components())
-        out.append(Triplet(*parts))
+    for row in rows:
+        parts = tuple(_divide(c, denom) for c in row)
+        out.append(parts)
         refusals.append(UnitValue(clamp_at_zero(1 - sum(sup_of(p) for p in parts))))
-    labeled = LabeledSet(s.universe, tuple(out), FamilySpec(FamilyKind.IIFS))
+    labeled = LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IIFS))
     return SupTransformResult(labeled=labeled, refusals=tuple(refusals), denominator=denom)
 
 
@@ -122,12 +182,12 @@ def normalize_elementwise(s: LabeledSet) -> LabeledSet:
     so); elements whose components are all zero are rejected by name.
     """
     out = []
-    for name, trip in s.items():
-        total = sum(sup_of(c) for c in trip.components())
+    for name, row in zip(s.universe, s.rows):
+        total = sum(sup_of(c) for c in row)
         if total <= ABS_TOL:
             raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
-        out.append(Triplet(*(_divide(c, total) for c in trip.components())))
-    return LabeledSet(s.universe, tuple(out), FamilySpec(FamilyKind.IFS))
+        out.append(tuple(_divide(c, total) for c in row))
+    return LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IFS))
 
 
 @dataclass(frozen=True)
@@ -187,9 +247,9 @@ def divergence_report(path_a: LabeledSet, path_b: LabeledSet, tol: float = ABS_T
             f"universe mismatch: {list(path_a.universe)} vs {list(path_b.universe)}"
         )
     deltas = []
-    for ta, tb in zip(path_a.triplets, path_b.triplets):
-        a = [float(sup_of(c)) for c in ta.components()]
-        b = [float(sup_of(c)) for c in tb.components()]
+    for ra, rb in zip(path_a.rows, path_b.rows):
+        a = [float(sup_of(c)) for c in ra]
+        b = [float(sup_of(c)) for c in rb]
         deltas.append(tuple(x - y for x, y in zip(a, b)))
     max_abs = max((abs(d) for row in deltas for d in row), default=0.0)
     return DivergenceReport(

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neutroset
 from neutroset import cli, documents
@@ -96,6 +98,67 @@ class TestDocuments:
             )
         )
         assert doc.components == ((0.9, 0.2),)
+
+
+def json_layout(doc: documents.ElementSetDocument) -> str:
+    """The text ``dumps`` must write: the payload through ``json.dumps(indent=2)``."""
+    family = {"kind": doc.family.kind.value}
+    if doc.family.exponent is not None:
+        family["exponent"] = doc.family.exponent
+    payload = {
+        "format_version": documents.FORMAT_VERSION,
+        "family": family,
+        "universe": list(doc.universe),
+        "elements": {name: [float(v) for v in row] for name, row in zip(doc.universe, doc.components)},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+#: Component values of every type a document may carry, NaN and infinities included.
+dump_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -0.0, 0.0, 1e-300, 5e-324, 1e16]),
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=1000),
+)
+
+
+class TestDumps:
+    """``dumps`` lays rows out itself; its bytes are the json module's."""
+
+    @pytest.mark.parametrize(
+        "family,universe,components",
+        [
+            (FamilySpec(FamilyKind.NS), ("x",), ((0.1, 0.2, 0.3),)),
+            (FamilySpec(FamilyKind.IIFS), ("\u00e9l\u00e9ment", "\u65e5\u672c", 'q"\\\n'), ((1, 0, 0), (-0.0, 0.5, 0.25), (0, 0, 1))),
+            (FamilySpec(FamilyKind.QROFS, 3), ("a", "b"), ((1, 0), (Fraction(1, 3), 0.5))),
+            (FamilySpec(FamilyKind.NHSNS, 2.5), ("a",), ((1.2, 0.0, 1e-300),)),
+            (FamilySpec(FamilyKind.NS), ("a", "b"), ((float("nan"), 0, 0), (0, float("inf"), 1))),
+            (FamilySpec(FamilyKind.NS), ("a", "a", "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+            (FamilySpec(FamilyKind.NS), (1, "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+            (FamilySpec(FamilyKind.NS), ("a", "b"), ((), (0.4,))),
+            (FamilySpec(FamilyKind.NS), (), ()),
+        ],
+    )
+    def test_same_bytes_as_json(self, family, universe, components):
+        doc = documents.ElementSetDocument(family, universe, components)
+        assert documents.dumps(doc) == json_layout(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([FamilySpec(FamilyKind.NS), FamilySpec(FamilyKind.IFS), FamilySpec(FamilyKind.NHSFS, 1.5)]),
+        st.lists(st.text(), min_size=1, max_size=6, unique=True),
+        st.data(),
+    )
+    def test_same_bytes_as_json_for_any_names_and_values(self, family, universe, data):
+        rows = data.draw(st.lists(st.tuples(*[dump_values] * family.arity), min_size=len(universe),
+                                  max_size=len(universe)))
+        doc = documents.ElementSetDocument(family, tuple(universe), tuple(rows))
+        assert documents.dumps(doc) == json_layout(doc)
+
+    def test_round_trip_of_a_set(self):
+        doc = documents.loads(json.dumps(A_N_DOC))
+        assert documents.dumps(documents.from_labeled_set(doc.to_labeled_set())) == json_layout(doc)
 
 
 class TestCliValidate:
@@ -465,6 +528,53 @@ class TestMalformedCalls:
         with pytest.raises(documents.DocumentError, match="nested too deeply"):
             documents.loads("[" * 100_000)
 
+    @pytest.mark.parametrize("exponent", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_exponent_too_large_for_a_float(self, exponent, tmp_path, capsys):
+        with pytest.raises(UsageError, match="finite real number"):
+            FamilySpec(FamilyKind.QROFS, exponent)
+        if isinstance(exponent, int):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({**self.BAD_EXPONENT, "family": {"kind": "QROFS", "exponent": exponent}}))
+            err = self._one_line_error(["validate", str(path)], capsys)
+            assert err.startswith("document error: family QROFS exponent must be a finite real number >= 1")
+
+    def test_integer_literal_too_long_to_read(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(A_N_DOC).replace("0.8", "1" * 5000))
+        err = self._one_line_error(["validate", str(path)], capsys)
+        assert err.startswith("document error: not valid JSON: Exceeds the limit")
+
+
+class TestInternalErrors:
+    """An exception the CLI does not map is a fault of the program: one line and exit 3, or its traceback with --debug."""
+
+    @staticmethod
+    def _faulty(monkeypatch, message="boom"):
+        def fail(args):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "_cmd_demo", fail)
+
+    def test_one_line_and_exit_3(self, monkeypatch, capsys):
+        self._faulty(monkeypatch)
+        assert cli.main(["demo", "--all"]) == 3
+        assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+    def test_a_message_of_several_lines_stays_on_one(self, monkeypatch, capsys):
+        self._faulty(monkeypatch, "first\nsecond")
+        assert cli.main(["demo"]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: first second\n"
+
+    @pytest.mark.parametrize("argv", [["--debug", "demo"], ["demo", "--debug"]])
+    def test_debug_reraises(self, argv, monkeypatch):
+        self._faulty(monkeypatch)
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(argv)
+
+    def test_user_errors_still_exit_2_under_debug(self, capsys):
+        assert cli.main(["--debug", "volume", "--family", "SFS", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestToleranceScope:
     """``--tolerance`` reaches ``validate`` and ``refined``; ``op`` and ``transform`` check at ABS_TOL."""
@@ -495,17 +605,18 @@ class TestToleranceScope:
         assert err == "document error: element 'a' invalid: IIFS: constraint value 1.5 vs bound 1\n"
 
 
-#: Runs in a fresh interpreter: what importing the CLI and running two commands loads.
+#: Runs in a fresh interpreter: what importing the CLI and running some commands, then ``volume``, loads.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 import neutroset.cli as cli
 
 HEAVY = ("numpy", "neutroset._kernels", "neutroset.demos", "neutroset.decision", "neutroset.refined",
          "neutroset.indeterminacy")
-report = {"after_import": [m for m in HEAVY if m in sys.modules]}
-with contextlib.redirect_stdout(io.StringIO()):
-    report["decide_exit"] = cli.main(json.loads(sys.argv[1]))
-report["numpy_after_decide"] = "numpy" in sys.modules
+report = {"after_import": [m for m in HEAVY if m in sys.modules], "before_volume": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report["before_volume"].append([argv[0], code, "numpy" in sys.modules])
 volume = io.StringIO()
 with contextlib.redirect_stdout(volume):
     report["volume_exit"] = cli.main(json.loads(sys.argv[2]))
@@ -518,18 +629,25 @@ print(json.dumps(report))
 class TestStartup:
     """Each subcommand imports only its own modules; numpy loads only when ``volume`` draws samples."""
 
-    DECIDE = ["--format", "json", "decide", "three-ways", "--scores", "0.9,0.5,0.1",
-              "--alpha", "0.7", "--beta", "0.3"]
+    DECIDE = ["decide", "three-ways", "--scores", "0.9,0.5,0.1", "--alpha", "0.7", "--beta", "0.3"]
     VOLUME = ["--format", "json", "volume", "--family", "SFS", "--samples", "5000", "--seed", "3"]
 
-    def test_cli_imports_only_what_the_command_runs(self, capsys):
+    def test_cli_imports_only_what_the_command_runs(self, doc_paths, capsys):
+        a, b = map(str, doc_paths)
+        before_volume = [
+            self.DECIDE,
+            ["op", "--op", "and", a, b, "--tnorm", "product", "--tconorm", "probsum"],
+            ["op", "--op", "not", a],
+            ["transform", a, "--method", "sup"],
+            ["transform", a, "--method", "normalize"],
+        ]
         # the package is found from its own location, not from the caller's environment
         env = {"PYTHONPATH": str(Path(neutroset.__file__).parents[1])}
-        argv = [sys.executable, "-c", STARTUP_PROBE, json.dumps(self.DECIDE), json.dumps(self.VOLUME)]
+        argv = [sys.executable, "-c", STARTUP_PROBE, json.dumps(before_volume), json.dumps(self.VOLUME)]
         child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         report = json.loads(child.stdout)
         assert report["after_import"] == []
-        assert report["decide_exit"] == 0 and report["numpy_after_decide"] is False
+        assert report["before_volume"] == [[cmd[0], 0, False] for cmd in before_volume]
         assert report["volume_exit"] == 0 and report["numpy_after_volume"] is True
         assert cli.main(self.VOLUME) == 0
         assert report["volume_out"] == capsys.readouterr().out

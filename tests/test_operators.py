@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neutroset import operators, transforms
-from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError
-from neutroset.families import FamilyKind, FamilySpec, admits, includes
+from neutroset.core import ABS_TOL, ConstraintError, IntervalValue, NeutrosetError, Triplet, UnitValue, UsageError
+from neutroset.families import FamilyKind, FamilySpec, admits, admits_triplet, includes
 from neutroset.operators import (
     NormPair,
     Op,
@@ -186,10 +186,10 @@ class TestFamilyInclusion:
 
     def test_implication_checks_each_operand_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(operators, "admits", lambda x, family: calls.append(x) or admits(x, family))
+        monkeypatch.setattr(operators, "admits_triplet", lambda x, family: calls.append(x) or admits_triplet(x, family))
         a, b = Triplet(0.2, 0.3, 0.4), Triplet(0.5, 0.1, 0.1)
         assert trip(implicate(a, b, MAXI)) == (0.5, 0.1, 0.1)
-        assert calls == [a, b]
+        assert calls == [a.components(), b.components()]
 
 
 class TestIifsConventions:
@@ -353,6 +353,18 @@ class TestNormAxioms:
             assert norms.join(a, lo) <= norms.join(a, hi) + 1e-15
 
 
+#: Norm arguments whose ties differ in type or sign: min and max return the first of equals.
+tie_prone = st.one_of(units, st.sampled_from([0, 1, -0.0, 0.0]), unit_fractions)
+
+
+class TestNormsAreTheBuiltins:
+    @given(tie_prone, tie_prone)
+    def test_min_max_pair_returns_what_min_and_max_return(self, a, b):
+        norms = NormPair()
+        for got, want in ((norms.meet(a, b), min(a, b)), (norms.join(a, b), max(a, b))):
+            assert (type(got), repr(got)) == (type(want), repr(want))
+
+
 class TestSetwise:
     A = LabeledSet.from_mapping(
         {"x1": (0.8, 0.3, 0.5), "x2": (0.9, 0.2, 0.6)}, FamilySpec(FamilyKind.NS)
@@ -394,10 +406,10 @@ class TestSetwise:
 
         def counted(x, family):
             calls.append(family.kind)
-            return admits(x, family)
+            return admits_triplet(x, family)
 
-        monkeypatch.setattr(operators, "admits", counted)
-        monkeypatch.setattr(transforms, "admits", counted)
+        monkeypatch.setattr(operators, "admits_triplet", counted)
+        monkeypatch.setattr(transforms, "admits_triplet", counted)
         return calls
 
     @pytest.mark.parametrize("op", list(Op))
@@ -415,3 +427,110 @@ class TestSetwise:
         assert len(calls) == 3 * len(self.B.universe)
         with pytest.raises(ConstraintError, match=r"^IFS operand components sum to 1\.6, outside IFS$"):
             setwise(self.A, self.B, Op.OR, IFS)
+
+
+#: One component of every type an operand may carry: floats (-0.0 among them), ints and Fractions.
+mixed_components = st.one_of(
+    units,
+    st.sampled_from([0, 1, -0.0, 0.0, 1.0, 0.5]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+)
+
+
+@st.composite
+def mixed_rows(draw, n):
+    """``n`` rows: any cube point, or one scaled onto the sum-1 plane or below it with exact arithmetic."""
+    rows = []
+    for _ in range(n):
+        row = draw(st.tuples(mixed_components, mixed_components, mixed_components))
+        shape = draw(st.sampled_from(("any", "sum-1", "sum<=1")))
+        total = sum(Fraction(v) for v in row)
+        if shape != "any" and total > 0:
+            budget = 1 if shape == "sum-1" else draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+            row = tuple(Fraction(v) * budget / total for v in row)
+        # a point interval stands in for its scalar; a proper one is refused as an operand
+        boxes = draw(st.sampled_from((None, None, None, "point", "proper")))
+        if boxes:
+            k = draw(st.integers(0, 2))
+            lo = row[k] if boxes == "point" else 0
+            row = (*row[:k], IntervalValue(lo, row[k]), *row[k + 1 :])
+        rows.append(row)
+    return rows
+
+
+def set_of(names, rows, kind: FamilyKind) -> LabeledSet:
+    """The rows as a set tagged ``kind``, or tagged NS where ``kind`` does not admit them all."""
+    trips = [Triplet(*row) for row in rows]
+    try:
+        return LabeledSet(names, trips, FamilySpec(kind))
+    except UsageError:
+        return LabeledSet(names, trips, FamilySpec(FamilyKind.NS))
+
+
+SCALAR_OPS = {Op.AND: conjunct, Op.OR: disjunct, Op.IMPLIES: implicate}
+ALL_SYSTEMS = [
+    OperatorSystem(kind, norms, overflow)
+    for kind in SystemKind
+    for norms in (NormPair(), PRODUCT_NORMS)
+    for overflow in OverflowRule
+]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except NeutrosetError as exc:
+        return exc
+
+
+def typed(s: LabeledSet) -> list:
+    return [[(type(v), repr(v)) for v in row] for row in s.rows]
+
+
+class TestSetsAgreeWithScalars:
+    """``setwise`` over rows gives, bit for bit and type for type, the scalar operators' results."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(mixed_rows(n), mixed_rows(n))),
+           st.sampled_from([FamilyKind.NS, FamilyKind.IIFS, FamilyKind.IFS]),
+           st.sampled_from([FamilyKind.NS, FamilyKind.IIFS, FamilyKind.IFS]))
+    def test_setwise_is_the_scalar_operator_elementwise(self, rows, kind_a, kind_b):
+        names = tuple(f"x{k}" for k in range(len(rows[0])))
+        a, b = set_of(names, rows[0], kind_a), set_of(names, rows[1], kind_b)
+        for sys in ALL_SYSTEMS:
+            for op in Op:
+                def scalar():
+                    if op is Op.NOT:
+                        out = [negate(x, sys) for x in a.triplets]
+                    else:
+                        out = [SCALAR_OPS[op](x, y, sys) for x, y in zip(a.triplets, b.triplets)]
+                    return LabeledSet(names, out, operators.system_family(sys))
+
+                want, got = outcome(scalar), outcome(lambda: setwise(a, b, op, sys))
+                if isinstance(want, Exception):
+                    assert (type(got), str(got)) == (type(want), str(want)), (sys, op)
+                    continue
+                assert got == want and hash(got) == hash(want), (sys, op)
+                assert typed(got) == typed(want), (sys, op)
+                assert got.triplets == want.triplets
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(mixed_components, st.sampled_from(
+                [-0.1, 1.5, Fraction(3, 2), float("nan"), float("inf"), True, "x", None,
+                 IntervalValue(0.25, 0.25), IntervalValue(0.1, 0.3), UnitValue(0.75)]))] * 3),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from([FamilyKind.NS, FamilyKind.IIFS, FamilyKind.IFS, FamilyKind.SFS, FamilyKind.PYFS]),
+    )
+    def test_rows_are_checked_as_triplets_and_a_set_check_them(self, rows, kind):
+        names = tuple(f"x{k}" for k in range(len(rows)))
+        family = FamilySpec(kind)
+        want = outcome(lambda: LabeledSet(names, [Triplet(*row) for row in rows], family))
+        got = outcome(lambda: LabeledSet._of_rows(names, rows, family))
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert got == want and hash(got) == hash(want)
+        assert typed(got) == typed(want)
