@@ -19,7 +19,7 @@ from pathlib import Path
 # demos, decision, refined and indeterminacy are imported inside the command that runs
 # them, so that a call pays only for its own modules (see README, "Start-up")
 from neutroset import documents
-from neutroset.core import ABS_TOL, NeutrosetError, Triplet, UsageError
+from neutroset.core import ABS_TOL, NeutrosetError, UsageError
 from neutroset.families import (
     analytic_family_volume,
     classify_cube_region,
@@ -47,49 +47,43 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _round(value, places):
-    if places is None or not isinstance(value, float):
-        return value
-    return round(value, places)
-
-
 def _render(payload: dict, fmt: str, places) -> None:
+    if places is not None:
+        payload = _round_tree(payload, places)
     if fmt == "json":
-        print(json.dumps(_round_tree(payload, places), indent=2))
-        return
-    _print_table(payload, places)
+        print(json.dumps(payload, indent=2))
+    else:
+        _print_table(payload)
 
 
-def _round_tree(node, places):
+def _round_tree(node, places: int):
+    if isinstance(node, float):
+        return round(node, places)
     if isinstance(node, dict):
         return {k: _round_tree(v, places) for k, v in node.items()}
     if isinstance(node, (list, tuple)):
         return [_round_tree(v, places) for v in node]
-    return _round(node, places)
+    return node
 
 
-def _fmt_val(v, places) -> str:
+def _fmt_val(v) -> str:
     if isinstance(v, float):
-        return repr(_round(v, places))
+        return repr(v)
     if isinstance(v, (list, tuple)):
-        return "(" + ", ".join(_fmt_val(x, places) for x in v) + ")"
+        return "(" + ", ".join(map(_fmt_val, v)) + ")"
     return str(v)
 
 
-def _print_table(payload: dict, places) -> None:
+def _print_table(payload: dict) -> None:
     for key, value in payload.items():
-        if key == "rows":
-            continue
-        print(f"{key}: {_fmt_val(value, places)}")
+        if key != "rows":
+            print(f"{key}: {_fmt_val(value)}")
     rows = payload.get("rows")
     if rows:
         headers = list(rows[0])
-        widths = [
-            max(len(h), *(len(_fmt_val(r[h], places)) for r in rows)) for h in headers
-        ]
-        print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        for r in rows:
-            print("  ".join(_fmt_val(r[h], places).ljust(w) for h, w in zip(headers, widths)))
+        lines = [headers, *([_fmt_val(r[h]) for h in headers] for r in rows)]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        print("\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines))
 
 
 def _floats(row) -> tuple:
@@ -116,6 +110,8 @@ def _system_from_args(args) -> OperatorSystem:
 
 
 def _cmd_validate(args) -> int:
+    if args.exponent is not None and not args.family:
+        raise UsageError("--exponent needs --family; a document's own family carries its exponent")
     doc = documents.load(args.file, validate_elements=False)
     family = _family_from_args(args) if args.family else doc.family
     rows = []
@@ -131,7 +127,7 @@ def _cmd_validate(args) -> int:
             "valid": report.valid,
         }
         if family.arity == 3:
-            row["region"] = classify_cube_region(Triplet(*comps), args.tolerance).value
+            row["region"] = classify_cube_region(comps, args.tolerance).value
         rows.append(row)
     payload = {
         "command": "validate",
@@ -159,9 +155,8 @@ def _cmd_op(args) -> int:
         set_b = doc_b.to_labeled_set()
         digest_b = _digest(args.b)
     result = setwise(set_a, set_b, op, sys_)
-    out_doc = documents.from_labeled_set(result)
     if args.out:
-        documents.dump(out_doc, args.out)
+        documents.dump(documents.from_labeled_set(result), args.out)
     rows = []
     b_rows = set_b.scalar_rows() if set_b is not None else [None] * len(result.universe)
     for name, a, b, r in zip(result.universe, set_a.scalar_rows(), b_rows, result.scalar_rows()):
@@ -182,7 +177,7 @@ def _cmd_op(args) -> int:
     _render(payload, args.format, args.round)
     if not args.out and args.format == "table":
         print("--- result document ---")
-        print(documents.dumps(out_doc), end="")
+        print(documents.dumps(documents.from_labeled_set(result)), end="")
     return 0
 
 
@@ -203,9 +198,8 @@ def _cmd_transform(args) -> int:
     if args.method == "sup":
         for row, refusal in zip(rows, res.refusals):
             row["refusal"] = float(refusal.v)
-    out_doc = documents.from_labeled_set(result)
     if args.out:
-        documents.dump(out_doc, args.out)
+        documents.dump(documents.from_labeled_set(result), args.out)
     payload = {
         "command": f"transform {args.method}",
         "input_digest": _digest(args.file),
@@ -254,10 +248,12 @@ def _cmd_demo(args) -> int:
     if args.format == "json":
         _render(payload, args.format, args.round)
     else:
+        if args.round is not None:
+            rows = _round_tree(rows, args.round)
         for r in rows:
             print(
-                f"{r['status']}  {r['exhibit']}::{r['check']}  got {_fmt_val(r['got'], args.round)}"
-                f"  want {_fmt_val(r['want'], args.round)}"
+                f"{r['status']}  {r['exhibit']}::{r['check']}  got {_fmt_val(r['got'])}"
+                f"  want {_fmt_val(r['want'])}"
             )
         print(f"{len(rows)} checks, {failures} failures")
     return 0 if failures == 0 else 1
@@ -379,8 +375,11 @@ def _cmd_decide(args) -> int:
         sizes = {}
         for item in args.sizes.split(","):
             label, _, size = item.partition("=")
+            label = label.strip()
+            if label in sizes:
+                raise UsageError(f"size of {label!r} given twice")
             try:
-                sizes[label.strip()] = float(size)  # no "=" leaves size empty, which float rejects
+                sizes[label] = float(size)  # no "=" leaves size empty, which float rejects
             except ValueError:
                 raise NeutrosetError(f"sizes must look like label=number, got {item!r}") from None
         group_map = {
@@ -393,7 +392,10 @@ def _cmd_decide(args) -> int:
             label, sep, g = item.partition("=")
             if not sep or g.strip() not in group_map:
                 raise NeutrosetError(f"group must be accept, neutral, or reject, got {item!r}")
-            groups[label.strip()] = group_map[g.strip()]
+            label = label.strip()
+            if label in groups:
+                raise UsageError(f"group of {label!r} given twice")
+            groups[label] = group_map[g.strip()]
         part = decision.neutrosophify(sizes, groups)
         payload = {
             "command": "decide neutrosophify",

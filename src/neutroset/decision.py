@@ -72,6 +72,13 @@ class PartitionN:
             raise UsageError("an n-way partition needs at least four bands in total")
 
 
+def _check_finite(what: str, values: Sequence[Real]) -> None:
+    """Reject NaN and infinities: no threshold orders them and no total sums them."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise UsageError(f"{what} must be finite, got {v!r}")
+
+
 def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -> Partition3:
     """Convert labeled nonnegative area sizes into universe fractions.
 
@@ -83,6 +90,7 @@ def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -
     for label, size in measures.items():
         if isinstance(size, bool) or not isinstance(size, Real):
             raise UsageError(f"size of {label!r} must be a real number")
+        _check_finite(f"size of {label!r}", (size,))
         if size < 0:
             raise UsageError(f"size of {label!r} is negative: {size!r}")
         if label not in groups:
@@ -109,6 +117,8 @@ def three_ways(scores: Sequence[Real], alpha: Real, beta: Real) -> tuple[tuple[V
         raise UsageError(f"thresholds must satisfy alpha > beta, got alpha={alpha!r}, beta={beta!r}")
     if not scores:
         raise UsageError("scores are empty")
+    _check_finite("thresholds", (alpha, beta))
+    _check_finite("scores", scores)
     labels = []
     for s in scores:
         if s >= alpha:
@@ -168,6 +178,8 @@ def n_ways(
         raise UsageError(f"cut points must be strictly ascending, got {cuts}")
     if not scores:
         raise UsageError("scores are empty")
+    _check_finite("cut points", cuts)
+    _check_finite("scores", scores)
 
     bands: list[BandLabel] = []
     for k in range(s):
@@ -203,6 +215,8 @@ def offset_degree(amount: Real, norm: Real) -> float:
         raise UsageError(f"norm must be a positive real, got {norm!r}")
     if isinstance(amount, bool) or not isinstance(amount, Real):
         raise UsageError(f"amount must be a real number, got {amount!r}")
+    _check_finite("norm", (norm,))
+    _check_finite("amount", (amount,))
     return amount / norm
 
 

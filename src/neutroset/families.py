@@ -385,9 +385,11 @@ def _claim_target(claim: InclusionClaim, exponent: Real | None) -> FamilySpec:
     return FamilySpec(FamilyKind.IIFS)
 
 
-def classify_cube_region(triplet: Triplet, tol: float = ABS_TOL) -> CubeRegion:
-    """Locate a triplet relative to the sum-1 plane of the unit component cube."""
-    s = sum(sup_of(c) for c in triplet.components())
+def classify_cube_region(components, tol: float = ABS_TOL) -> CubeRegion:
+    """Locate a :class:`Triplet`, or raw components that SNS and NHSNS let exceed 1, against the sum-1 plane."""
+    if isinstance(components, Triplet):
+        components = components.components()
+    s = sum(sup_of(c) for c in components)
     if s < 1 - tol:
         return CubeRegion.INCOMPLETE
     if s > 1 + tol:

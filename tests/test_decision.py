@@ -192,6 +192,36 @@ class TestOffsetDegrees:
         assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    """NaN and infinities are rejected by name, not labeled, summed or divided."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: three_ways((NAN, 0.9), alpha=0.7, beta=0.3), "scores must be finite, got nan"),
+            (lambda: three_ways((0.9,), alpha=INF, beta=0.3), "thresholds must be finite, got inf"),
+            (lambda: n_ways((NAN, 0.6), (0.25, 0.5, 0.75), (1, 1, 2)), "scores must be finite, got nan"),
+            (lambda: n_ways((0.6,), (0.25, 0.5, INF), (1, 1, 2)), "cut points must be finite, got inf"),
+            (
+                lambda: neutrosophify({"a": INF, "b": 1.0}, {"a": Verdict.ACCEPT, "b": Verdict.REJECT}),
+                "size of 'a' must be finite, got inf",
+            ),
+            (lambda: neutrosophify({"a": NAN}, {"a": Verdict.ACCEPT}), "size of 'a' must be finite, got nan"),
+            (lambda: offset_degree(INF, 40), "amount must be finite, got inf"),
+            (lambda: offset_degree(1, INF), "norm must be finite, got inf"),
+        ],
+        ids=["three-ways-score", "three-ways-threshold", "n-ways-score", "n-ways-cut", "size-inf", "size-nan",
+             "offset-amount", "offset-norm"],
+    )
+    def test_rejected_by_name(self, call, message):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == message
+
+
 class TestValidateOffset:
     def test_overset(self):
         report = validate_offset((1.125, 0.0, 0.0), OffsetBounds(-1, 2))

@@ -185,6 +185,14 @@ class TestCliValidate:
         assert payload["all_valid"] is True
         assert payload["rows"][0]["region"] == "paraconsistent"
 
+    @pytest.mark.parametrize("family", [{"kind": "SNS"}, {"kind": "NHSNS", "exponent": 2}])
+    def test_extended_family_element_above_one(self, family, tmp_path, capsys):
+        p = tmp_path / "extended.json"
+        p.write_text(json.dumps({**A_N_DOC, "family": family, "universe": ["x"], "elements": {"x": [1.2, 0.5, 0.5]}}))
+        assert cli.main(["--format", "json", "validate", str(p)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["valid"] is True and row["region"] == "paraconsistent"
+
 
 class TestCliOp:
     def test_intersection_writes_result_document(self, doc_paths, tmp_path, capsys):
@@ -245,6 +253,16 @@ class TestCliTransform:
         assert doc.components[0] == pytest.approx((0.5, 0.3125))
         widened = doc.to_labeled_set().element("x1")
         assert tuple(float(v) for v in widened.scalars()) == pytest.approx((0.5, 0.1875, 0.3125))
+
+    def test_table_sizes_columns_from_rounded_values(self, doc_paths, capsys):
+        a, _ = doc_paths
+        assert cli.main(["--round", "3", "transform", str(a), "--method", "sup"]) == 0
+        assert capsys.readouterr().out.splitlines()[3:] == [
+            "denominator: 1.8",
+            "element  before           after                  refusal",
+            "x1       (0.8, 0.3, 0.5)  (0.444, 0.167, 0.278)  0.111  ",
+            "x2       (0.9, 0.2, 0.6)  (0.5, 0.111, 0.333)    0.056  ",
+        ]
 
 
 class TestCliDemo:
@@ -501,6 +519,50 @@ class TestMalformedCalls:
         path = tmp_path / "latin1.json"
         path.write_bytes(json.dumps(A_N_DOC).replace("x1", "\u00e9").encode("latin-1"))
         assert "not UTF-8" in self._one_line_error(["validate", str(path)], capsys)
+
+    def test_exponent_without_family(self, doc_paths, capsys):
+        err = self._one_line_error(["validate", str(doc_paths[0]), "--exponent", "2"], capsys)
+        assert err.startswith("error: --exponent needs --family")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("decide three-ways --scores nan,0.9 --alpha 0.7 --beta 0.3", "scores must be finite, got nan"),
+            ("--format json decide offset --amounts inf --norm 40", "amount must be finite, got inf"),
+            ("decide neutrosophify --sizes a=inf,b=1 --groups a=accept,b=reject", "size of 'a' must be finite, got inf"),
+            ("decide neutrosophify --sizes a=1,a=2,b=1 --groups a=accept,b=reject", "size of 'a' given twice"),
+            ("decide neutrosophify --sizes a=1,b=1 --groups a=accept,a=reject,b=reject", "group of 'a' given twice"),
+        ],
+    )
+    def test_decide_input_it_cannot_label_or_print(self, argv, message, capsys):
+        assert self._one_line_error(argv.split(), capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([A_N_DOC], "document root must be an object"),
+            ({**A_N_DOC, "family": "NS"}, 'missing "family" object with a "kind" tag'),
+            ({**A_N_DOC, "universe": ["x1", 2]}, '"universe" must be a list of element names'),
+            ({**A_N_DOC, "universe": ["x1", "x2", "x1"]}, "universe contains duplicate element names"),
+            ({**A_N_DOC, "elements": [[0.8, 0.3, 0.5]]}, '"elements" must map element names to component arrays'),
+            (
+                {**A_N_DOC, "elements": {**A_N_DOC["elements"], "x3": [0.1, 0.1, 0.1]}},
+                "elements not in universe: ['x3']",
+            ),
+            (
+                {**A_N_DOC, "elements": {**A_N_DOC["elements"], "x2": [0.9, "0.2", 0.6]}},
+                "element 'x2': components must be a numeric array",
+            ),
+        ],
+        ids=["root", "family", "universe", "duplicate-names", "elements", "not-in-universe", "component"],
+    )
+    def test_malformed_document(self, raw, message, tmp_path, capsys):
+        with pytest.raises(documents.DocumentError) as info:
+            documents.loads(json.dumps(raw))
+        assert str(info.value) == message
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(raw))
+        assert self._one_line_error(["validate", str(path)], capsys) == f"document error: {message}\n"
 
     def test_neutrosophify_size_not_a_number(self, capsys):
         argv = ["decide", "neutrosophify", "--sizes", "a=x", "--groups", "a=accept"]

@@ -318,6 +318,13 @@ class TestCubeRegion:
         t, i, f = trip.scalars()
         assert classify_cube_region(trip) is classify_cube_region(Triplet(f, i, t))
 
+    @given(triplets)
+    def test_raw_components_place_like_their_triplet(self, trip):
+        assert classify_cube_region(trip.components()) is classify_cube_region(trip)
+
+    def test_extended_components_above_one(self):
+        assert classify_cube_region((1.2, 0.5, 0.5)) is CubeRegion.PARACONSISTENT
+
 
 class TestNhsfsMonotonicity:
     @given(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from neutroset.core import DegenerateInputError, Triplet, UsageError
+from neutroset.core import DegenerateInputError, IntervalValue, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, validate
 from neutroset.operators import Op, OperatorSystem, OverflowRule, SystemKind, setwise
 from neutroset.transforms import (
@@ -139,6 +139,39 @@ class TestNormalizeElementwise:
         s = LabeledSet(("x",), (Triplet(*row),), NS_TAG)
         out = normalize_elementwise(s).element("x")
         assert out.component_sum() == 1  # exact for exact inputs
+
+
+class TestIntervalComponents:
+    """Both transforms divide an interval's two bounds and judge it by its supremum."""
+
+    # sups per column: T 3/5, I 3/10, F 1/5, so the set-wide sup-sum is 11/10; both elements sum to 9/10
+    SET = LabeledSet.from_mapping(
+        {
+            "x": (Fraction(2, 5), IntervalValue(Fraction(1, 10), Fraction(3, 10)), Fraction(1, 5)),
+            "y": (Fraction(3, 5), Fraction(1, 5), Fraction(1, 10)),
+        },
+        NS_TAG,
+    )
+
+    def test_sup_transform(self):
+        F = Fraction
+        res = sup_transform(self.SET)
+        assert res.denominator == F(11, 10)
+        assert res.labeled.rows == (
+            (F(4, 11), IntervalValue(F(1, 11), F(3, 11)), F(2, 11)),
+            (F(6, 11), F(2, 11), F(1, 11)),
+        )
+        assert [r.v for r in res.refusals] == [F(2, 11), F(2, 11)]
+        assert res.labeled.family.kind is FamilyKind.IIFS
+
+    def test_normalize_elementwise(self):
+        F = Fraction
+        out = normalize_elementwise(self.SET)
+        assert out.rows == (
+            (F(4, 9), IntervalValue(F(1, 9), F(1, 3)), F(2, 9)),
+            (F(2, 3), F(2, 9), F(1, 9)),
+        )
+        assert out.family.kind is FamilyKind.IFS
 
 
 class TestParadoxCheck:
