@@ -47,9 +47,13 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+#: Payload keys that echo a setting: ``--round`` prints them as given, since rounding them would misreport the run.
+_ECHOED_SETTINGS = frozenset({"tolerance", "alpha", "beta", "cuts", "norm"})
+
+
 def _render(payload: dict, fmt: str, places) -> None:
     if places is not None:
-        payload = _round_tree(payload, places)
+        payload = {k: v if k in _ECHOED_SETTINGS else _round_tree(v, places) for k, v in payload.items()}
     if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:

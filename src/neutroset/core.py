@@ -72,7 +72,10 @@ class UnitValue:
     v: Real
 
     def __post_init__(self):
-        _check_unit_range(_check_real(self.v))
+        v = self.v
+        if type(v) is float and 0 <= v <= 1:
+            return  # the common case, as in as_component
+        _check_unit_range(_check_real(v))
 
     @property
     def sup(self) -> Real:

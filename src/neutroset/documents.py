@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, UsageError
-from neutroset.families import FamilyKind, FamilySpec, _embedded_row, admits, validate
+from neutroset.core import NeutrosetError, UsageError, clamp_at_zero
+from neutroset.families import FamilyKind, FamilySpec, _admits_rows, _embedded_row, admits, validate
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
+
+#: The types json.loads gives numbers; bool, which it gives true and false, is not among them.
+_NUMBER_TYPES = frozenset({int, float})
 
 
 class DocumentError(NeutrosetError, ValueError):
@@ -41,11 +44,16 @@ class ElementSetDocument:
             rows = self.components
             # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
             checked = self.checked and not self.family.kind.row.extended
+        elif self.checked and self.family.kind is FamilyKind.IFS:
+            # loads found t + f <= 1 within tolerance: widen as embed_into_ns does, without checking again
+            rows = [(t, clamp_at_zero(1 - t - f), f) for t, f in self.components]
+            checked = True
         else:
             rows = [_embedded_row(row, self.family) for row in self.components]
             checked = self.family.kind is FamilyKind.IFS  # the embedding checked each pair
         if checked:
-            return LabeledSet._of_checked(self.universe, rows, self.family)
+            # the rows of a loaded document are JSON numbers
+            return LabeledSet._of_checked(self.universe, rows, self.family, scalars=self.checked)
         return LabeledSet._of_rows(self.universe, rows, self.family)
 
 
@@ -104,22 +112,33 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
     if extra:
         raise DocumentError(f"elements not in universe: {extra}")
     rows = []
+    arity = family.arity
     for name in universe:
         row = elements[name]
-        if not isinstance(row, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+        if not isinstance(row, list) or not _NUMBER_TYPES.issuperset(map(type, row)):
             raise DocumentError(f"element {name!r}: components must be a numeric array")
-        if len(row) != family.arity:
+        if len(row) != arity:
             raise DocumentError(
-                f"element {name!r}: {family.describe()} takes {family.arity} components, got {len(row)}"
+                f"element {name!r}: {family.describe()} takes {arity} components, got {len(row)}"
             )
         rows.append(tuple(row))
-    if validate_elements:
+    if validate_elements and not (family.component_cap == 1.0 and _in_unit_range(rows) and _admits_rows(rows, family)):
+        # some element fails: check one by one, raising for the first as admits and validate word it
         for name, row in zip(universe, rows):
             if not admits(row, family):
                 raise DocumentError(f"element {name!r} invalid: {validate(row, family).diagnostics}")
     doc = ElementSetDocument(family=family, universe=tuple(universe), components=tuple(rows))
     object.__setattr__(doc, "checked", validate_elements)
     return doc
+
+
+def _in_unit_range(rows) -> bool:
+    """Whether every component lies in [0, 1], where ``as_component`` keeps a number as it is (NaN does not)."""
+    for row in rows:
+        for v in row:
+            if not 0 <= v <= 1:
+                return False
+    return True
 
 
 def load(path: str | Path, validate_elements: bool = True) -> ElementSetDocument:

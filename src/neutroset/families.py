@@ -280,6 +280,40 @@ def _within_bound(parts: tuple, family: FamilySpec, tol: float) -> bool:
     return _powered_sum(parts[:columns], exponent) <= bound + tol
 
 
+def _admits_rows(rows, family: FamilySpec) -> bool:
+    """Whether every row is admitted at ``ABS_TOL``, tested in one pass over the rows.
+
+    The rows hold plain numbers, no intervals, already range-checked for
+    ``family``: all of one length, three (judged as :func:`admits_triplet`
+    judges them) or ``family.arity`` (as :func:`admits` judges them). Sums
+    run left to right from 0, as in :func:`_powered_sum`, so each row gets
+    the same verdict. False means some row fails, or a check would raise:
+    the per-element check tells which row and why.
+    """
+    whole_cube, columns, exponent, bound = family._bound_test
+    if family._row.arity == 2 and rows and len(rows[0]) == 3:
+        if family.kind is not FamilyKind.IFS:
+            return False
+        for t, i, f in rows:
+            if not abs(0 + t + i + f - 1) <= ABS_TOL:
+                return False
+        return True
+    if whole_cube:
+        return True
+    limit = bound + ABS_TOL
+    if exponent != 1:
+        return all(_powered_sum(row[:columns], exponent) <= limit for row in rows)
+    if columns == 3:
+        for t, i, f in rows:
+            if not 0 + t + i + f <= limit:
+                return False
+        return True
+    for t, f in rows:  # two columns: the pair families
+        if not 0 + t + f <= limit:
+            return False
+    return True
+
+
 def _residual(name: str, spec, instance, check) -> UnitValue:
     """Degree ``name`` of a valid instance: what its constraint value leaves short of 1.
 
@@ -389,7 +423,7 @@ def classify_cube_region(components, tol: float = ABS_TOL) -> CubeRegion:
     """Locate a :class:`Triplet`, or raw components that SNS and NHSNS let exceed 1, against the sum-1 plane."""
     if isinstance(components, Triplet):
         components = components.components()
-    s = sum(sup_of(c) for c in components)
+    s = _powered_sum(components, 1)
     if s < 1 - tol:
         return CubeRegion.INCOMPLETE
     if s > 1 + tol:

@@ -23,7 +23,7 @@ from numbers import Real
 from typing import Iterable
 
 from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
-from neutroset.families import FamilyKind, FamilySpec, admits_triplet, includes
+from neutroset.families import FamilyKind, FamilySpec, _powered_sum, admits_triplet, includes
 from neutroset.transforms import LabeledSet, _scalars
 
 
@@ -124,7 +124,8 @@ def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]
     scalars = _scalars(parts)
     family = _OPERAND_FAMILY[sys.system]
     if not admits_triplet(parts, family):
-        raise ConstraintError(f"{sys.system.value} operand components sum to {float(sum(scalars))!r}, outside {family.describe()}")
+        total = float(_powered_sum(scalars, 1))
+        raise ConstraintError(f"{sys.system.value} operand components sum to {total!r}, outside {family.describe()}")
     return scalars
 
 

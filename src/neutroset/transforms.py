@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from neutroset.core import (
@@ -26,7 +27,7 @@ from neutroset.core import (
     scalar_of,
     sup_of,
 )
-from neutroset.families import FamilyKind, FamilySpec, admits_triplet, validate
+from neutroset.families import FamilyKind, FamilySpec, _admits_rows, _powered_sum, admits_triplet, validate
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -48,18 +49,34 @@ class LabeledSet:
         self._check_members()
 
     @classmethod
-    def _of_checked(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
-        """A set of rows the caller has already found valid under ``family``; only its shape is checked."""
+    def _of_checked(cls, universe, rows, family: FamilySpec, scalars: bool = False) -> "LabeledSet":
+        """A set of rows the caller has already found valid under ``family``; only its shape is checked.
+
+        ``scalars`` says the caller knows the rows hold no intervals, so nothing rescans them for one.
+        """
         s = object.__new__(cls)
         s._set_elements(universe, tuple(rows), family)
+        if scalars:
+            s.__dict__["_has_intervals"] = False
         return s
 
     @classmethod
     def _of_rows(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
         """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them."""
         # every range first, then membership: the order in which building the Triplets and then the set fails
-        rows = [row if _unit_floats(row) else Triplet(*row).components() for row in rows]
-        s = cls._of_checked(universe, rows, family)
+        checked = []
+        append = checked.append
+        unit_floats = True
+        for row in rows:
+            if len(row) == 3:
+                t, i, f = row
+                # floats in [0, 1], which Triplet keeps as they are
+                if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
+                    append(row)
+                    continue
+            append(Triplet(*row).components())
+            unit_floats = False
+        s = cls._of_checked(universe, checked, family, scalars=unit_floats)
         s._check_members()
         return s
 
@@ -75,6 +92,9 @@ class LabeledSet:
             raise UsageError("universe is empty")
 
     def _check_members(self) -> None:
+        if not self._has_intervals and _admits_rows(self.rows, self.family):
+            return
+        # some element fails, or has intervals: check one by one, naming the first that fails
         for name, row in zip(self.universe, self.rows):
             if not admits_triplet(row, self.family):
                 raise UsageError(
@@ -123,16 +143,6 @@ def _components(t) -> tuple:
     return t.components()
 
 
-def _unit_floats(row: tuple) -> bool:
-    """Whether every component is a float in [0, 1], which ``Triplet`` would keep as it is."""
-    if len(row) != 3:
-        return False
-    t, i, f = row
-    return (
-        type(t) is float and 0 <= t <= 1 and type(i) is float and 0 <= i <= 1 and type(f) is float and 0 <= f <= 1
-    )
-
-
 def _scalars(row: tuple) -> tuple:
     """``Triplet(*row).scalars()``: degenerate intervals collapse, others raise."""
     return tuple(map(scalar_of, row))
@@ -161,16 +171,19 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     sup-sum across the universe.
     """
     rows = s.rows
-    sups = [max(sup_of(row[k]) for row in rows) for k in range(3)]
+    if s._has_intervals:
+        sups = [max(sup_of(row[k]) for row in rows) for k in range(3)]
+    else:
+        sups = [max(map(itemgetter(k), rows)) for k in range(3)]
     denom = sups[0] + sups[1] + sups[2]
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
-    out = []
-    refusals = []
-    for row in rows:
-        parts = tuple(_divide(c, denom) for c in row)
-        out.append(parts)
-        refusals.append(UnitValue(clamp_at_zero(1 - sum(sup_of(p) for p in parts))))
+    if s._has_intervals:
+        out = [tuple(_divide(c, denom) for c in row) for row in rows]
+        refusals = [UnitValue(clamp_at_zero(1 - _powered_sum(parts, 1))) for parts in out]
+    else:
+        out = [(t / denom, i / denom, f / denom) for t, i, f in rows]
+        refusals = [UnitValue(clamp_at_zero(1 - (0 + t + i + f))) for t, i, f in out]
     labeled = LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IIFS))
     return SupTransformResult(labeled=labeled, refusals=tuple(refusals), denominator=denom)
 
@@ -182,11 +195,18 @@ def normalize_elementwise(s: LabeledSet) -> LabeledSet:
     so); elements whose components are all zero are rejected by name.
     """
     out = []
-    for name, row in zip(s.universe, s.rows):
-        total = sum(sup_of(c) for c in row)
-        if total <= ABS_TOL:
-            raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
-        out.append(tuple(_divide(c, total) for c in row))
+    if s._has_intervals:
+        for name, row in zip(s.universe, s.rows):
+            total = _powered_sum(row, 1)
+            if total <= ABS_TOL:
+                raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
+            out.append(tuple(_divide(c, total) for c in row))
+    else:
+        for name, (t, i, f) in zip(s.universe, s.rows):
+            total = 0 + t + i + f
+            if total <= ABS_TOL:
+                raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
+            out.append((t / total, i / total, f / total))
     return LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IFS))
 
 

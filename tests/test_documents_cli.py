@@ -553,8 +553,12 @@ class TestMalformedCalls:
                 {**A_N_DOC, "elements": {**A_N_DOC["elements"], "x2": [0.9, "0.2", 0.6]}},
                 "element 'x2': components must be a numeric array",
             ),
+            (
+                {**A_N_DOC, "elements": {**A_N_DOC["elements"], "x2": [0.9, True, 0.6]}},
+                "element 'x2': components must be a numeric array",
+            ),
         ],
-        ids=["root", "family", "universe", "duplicate-names", "elements", "not-in-universe", "component"],
+        ids=["root", "family", "universe", "duplicate-names", "elements", "not-in-universe", "component", "boolean"],
     )
     def test_malformed_document(self, raw, message, tmp_path, capsys):
         with pytest.raises(documents.DocumentError) as info:
@@ -665,6 +669,49 @@ class TestToleranceScope:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "document error: element 'a' invalid: IIFS: constraint value 1.5 vs bound 1\n"
+
+
+class TestRoundLeavesSettings:
+    """``--round`` rounds what a command computes; the settings it echoes print as given."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_validate_echoes_its_tolerance(self, fmt, doc_paths, capsys):
+        a, _ = doc_paths
+        assert cli.main(["--format", fmt, "--round", "3", "validate", str(a)]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["tolerance"] == 1e-09
+            assert payload["rows"][1]["constraint"] == 1.7  # 0.9 + 0.2 + 0.6 is 1.7000000000000002
+        else:
+            assert "tolerance: 1e-09" in out.splitlines()
+            assert "x2       (0.9, 0.2, 0.6)  1.7         3.0    True   paraconsistent" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv,settings,results",
+        [
+            (["--round", "0", "decide", "three-ways", "--scores", "0.9,0.5,0.1", "--alpha", "0.7", "--beta", "0.3"],
+             {"alpha": 0.7, "beta": 0.3}, {"partition": [0.0, 0.0, 0.0]}),
+            (["--round", "1", "decide", "n-ways", "--scores", "0.55,0.9,0.1,0.3", "--cuts", "0.125,0.25,0.5,0.75",
+              "--arities", "2,1,2"],
+             {"cuts": [0.125, 0.25, 0.5, 0.75]}, {"accept_levels": [0.2, 0.2]}),
+            (["--round", "1", "decide", "offset", "--amounts", "45,0,-20", "--norm", "40.55"],
+             {"norm": 40.55}, {"degrees": [1.1, 0.0, -0.5]}),
+        ],
+        ids=["three-ways", "n-ways", "offset"],
+    )
+    def test_decide_echoes_its_settings(self, fmt, argv, settings, results, capsys):
+        assert cli.main(["--format", fmt, *argv]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert {k: payload[k] for k in settings} == settings
+            assert {k: payload[k] for k in results} == results
+        else:
+            for key, value in {**settings, **results}.items():
+                shown = f"({', '.join(map(repr, value))})" if isinstance(value, list) else repr(value)
+                assert f"{key}: {shown}" in out.splitlines()
 
 
 #: Runs in a fresh interpreter: what importing the CLI and running some commands, then ``volume``, loads.

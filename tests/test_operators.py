@@ -1,12 +1,35 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from neutroset import operators, transforms
-from neutroset.core import ABS_TOL, ConstraintError, IntervalValue, NeutrosetError, Triplet, UnitValue, UsageError
-from neutroset.families import FamilyKind, FamilySpec, admits, admits_triplet, includes
+from neutroset import documents, operators, transforms
+from neutroset.core import (
+    ABS_TOL,
+    ConstraintError,
+    DegenerateInputError,
+    IntervalValue,
+    NeutrosetError,
+    Triplet,
+    UnitValue,
+    UsageError,
+    clamp_at_zero,
+    scalar_of,
+    sup_of,
+)
+from neutroset.families import (
+    FamilyKind,
+    FamilySpec,
+    _admits_rows,
+    admits,
+    admits_triplet,
+    embed_into_ns,
+    includes,
+    validate,
+)
 from neutroset.operators import (
     NormPair,
     Op,
@@ -21,7 +44,7 @@ from neutroset.operators import (
     negate,
     setwise,
 )
-from neutroset.transforms import LabeledSet
+from neutroset.transforms import LabeledSet, normalize_elementwise, sup_transform
 
 NS = OperatorSystem(SystemKind.NS)
 IFS = OperatorSystem(SystemKind.IFS)
@@ -402,14 +425,20 @@ class TestSetwise:
 
     @staticmethod
     def _count_admits(monkeypatch) -> list:
+        """The family of every row checked: one by one (operands), or a whole set at once (results)."""
         calls = []
 
         def counted(x, family):
             calls.append(family.kind)
             return admits_triplet(x, family)
 
+        def counted_rows(rows, family):
+            calls.extend([family.kind] * len(rows))
+            return _admits_rows(rows, family)
+
         monkeypatch.setattr(operators, "admits_triplet", counted)
         monkeypatch.setattr(transforms, "admits_triplet", counted)
+        monkeypatch.setattr(transforms, "_admits_rows", counted_rows)
         return calls
 
     @pytest.mark.parametrize("op", list(Op))
@@ -437,23 +466,51 @@ mixed_components = st.one_of(
 )
 
 
+#: Components no range admits, or only just: NaN, the infinities, and values a hair outside [0, 1].
+EDGE_COMPONENTS = (
+    float("nan"), float("inf"), float("-inf"), math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+    1 + 1e-12, -1e-12, 1 + Fraction(1, 10**12), Fraction(-1, 10**12), 2, -1,
+)
+
+#: Row sums on the edges of the bound-1 tests: 1 +- ABS_TOL as float sums give them and exactly, and an ulp past.
+EDGE_SUMS = (
+    Fraction(1 + ABS_TOL), Fraction(1 - ABS_TOL), 1 + Fraction(ABS_TOL), 1 - Fraction(ABS_TOL),
+    Fraction(math.nextafter(1 + ABS_TOL, 2.0)), Fraction(math.nextafter(1 - ABS_TOL, 0.0)),
+)
+
+
 @st.composite
-def mixed_rows(draw, n):
-    """``n`` rows: any cube point, or one scaled onto the sum-1 plane or below it with exact arithmetic."""
+def mixed_rows(draw, n, arity=3, edges=False):
+    """``n`` rows: any cube point, or one scaled onto the sum-1 plane or below it with exact arithmetic.
+
+    With ``edges``, a row may also sum to one of ``EDGE_SUMS`` (exactly, or as near as floats get)
+    and hold one of ``EDGE_COMPONENTS``.
+    """
+    shapes = ("any", "sum-1", "sum<=1") + ("edge-sum",) * (3 if edges else 0)
+    # with edges, often one shape for every row: a set is admitted whole only when each row is
+    same_shape = draw(st.sampled_from(shapes)) if edges and draw(st.booleans()) else None
     rows = []
     for _ in range(n):
-        row = draw(st.tuples(mixed_components, mixed_components, mixed_components))
-        shape = draw(st.sampled_from(("any", "sum-1", "sum<=1")))
+        row = draw(st.tuples(*[mixed_components] * arity))
+        shape = same_shape or draw(st.sampled_from(shapes))
         total = sum(Fraction(v) for v in row)
         if shape != "any" and total > 0:
-            budget = 1 if shape == "sum-1" else draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+            if shape == "edge-sum":
+                budget = draw(st.sampled_from(EDGE_SUMS))
+            else:
+                budget = 1 if shape == "sum-1" else draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
             row = tuple(Fraction(v) * budget / total for v in row)
+            if shape == "edge-sum" and draw(st.booleans()):
+                row = tuple(map(float, row))
         # a point interval stands in for its scalar; a proper one is refused as an operand
-        boxes = draw(st.sampled_from((None, None, None, "point", "proper")))
-        if boxes:
-            k = draw(st.integers(0, 2))
+        boxes = None if same_shape else draw(st.sampled_from((None, None, None, "point", "proper")))
+        k = draw(st.integers(0, arity - 1))
+        if boxes and 0 <= row[k] <= 1:
             lo = row[k] if boxes == "point" else 0
             row = (*row[:k], IntervalValue(lo, row[k]), *row[k + 1 :])
+        if edges and not same_shape and draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, arity - 1))
+            row = (*row[:k], draw(st.sampled_from(EDGE_COMPONENTS)), *row[k + 1 :])
         rows.append(row)
     return rows
 
@@ -534,3 +591,172 @@ class TestSetsAgreeWithScalars:
             return
         assert got == want and hash(got) == hash(want)
         assert typed(got) == typed(want)
+
+
+# The per-element checks the one-pass set checks replaced, kept as their oracle. Component sums run
+# left to right from 0, as builtin ``sum`` adds floats up to Python 3.11.
+
+
+def left_to_right(values):
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def divide(c, d):
+    return IntervalValue(c.lo / d, c.hi / d) if isinstance(c, IntervalValue) else c / d
+
+
+def rows_one_by_one(names, rows, family: FamilySpec) -> list:
+    """``LabeledSet._of_rows``, element by element: every row through ``Triplet``, then each through ``admits_triplet``."""
+    checked = [Triplet(*row).components() for row in rows]
+    for name, row in zip(names, checked):
+        if not admits_triplet(row, family):
+            scalars = tuple(float(scalar_of(c)) for c in row)
+            raise UsageError(f"element {name!r} {scalars} is not valid under {family.describe()}")
+    return checked
+
+
+def loads_one_by_one(text: str) -> documents.ElementSetDocument:
+    doc = documents.loads(text, validate_elements=False)
+    for name, row in zip(doc.universe, doc.components):
+        if not admits(row, doc.family):
+            raise documents.DocumentError(f"element {name!r} invalid: {validate(row, doc.family).diagnostics}")
+    return doc
+
+
+def set_rows_one_by_one(doc: documents.ElementSetDocument, checked: bool) -> list:
+    """``to_labeled_set``'s rows, each pair widened by ``embed_into_ns``."""
+    if doc.family.arity == 3:
+        if checked and not doc.family.kind.row.extended:
+            return list(doc.components)
+        return rows_one_by_one(doc.universe, doc.components, doc.family)
+    rows = [embed_into_ns(row, doc.family).components() for row in doc.components]
+    if doc.family.kind is FamilyKind.IFS:
+        return rows
+    return rows_one_by_one(doc.universe, rows, doc.family)
+
+
+def sup_one_by_one(s: LabeledSet) -> tuple:
+    sups = [max(sup_of(row[k]) for row in s.rows) for k in range(3)]
+    denom = sups[0] + sups[1] + sups[2]
+    if denom <= ABS_TOL:
+        raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
+    out = [tuple(divide(c, denom) for c in row) for row in s.rows]
+    refusals = [UnitValue(clamp_at_zero(1 - left_to_right(map(sup_of, row)))) for row in out]
+    return rows_one_by_one(s.universe, out, FamilySpec(FamilyKind.IIFS)), refusals, denom
+
+
+def normalize_one_by_one(s: LabeledSet) -> list:
+    out = []
+    for name, row in zip(s.universe, s.rows):
+        total = left_to_right(map(sup_of, row))
+        if total <= ABS_TOL:
+            raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
+        out.append(tuple(divide(c, total) for c in row))
+    return rows_one_by_one(s.universe, out, FamilySpec(FamilyKind.IFS))
+
+
+def typed_rows(rows) -> list:
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+def same_outcome(got, want, view=typed_rows):
+    """Both raised the same error, or both gave the same rows with the same component types."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return False
+    assert view(got) == view(want)
+    return True
+
+
+def json_number(v):
+    """A component as a document holds it: intervals by their supremum, Fractions as floats."""
+    v = sup_of(v)
+    return float(v) if isinstance(v, Fraction) else v
+
+
+#: Families of triplet documents; the set checks also take sum-1 triplets under pair families.
+TRIPLET_KINDS = [FamilyKind.NS, FamilyKind.IIFS, FamilyKind.SFS, FamilyKind.SNS]
+PAIR_KINDS = [FamilyKind.IFS, FamilyKind.FS, FamilyKind.PYFS, FamilyKind.QROFS]
+
+
+class TestOnePassAgreesWithOneByOne:
+    """The one-pass set checks give what checking element by element gives: the same rows, or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: mixed_rows(n, edges=True)),
+           st.sampled_from(TRIPLET_KINDS + [FamilyKind.IFS, FamilyKind.PYFS, FamilyKind.FS]))
+    # sums exactly on the bound-1 tests' edges, and an ulp past them
+    @example([(Fraction(1 + ABS_TOL) / 3,) * 3], FamilyKind.IIFS)
+    @example([(Fraction(math.nextafter(1 + ABS_TOL, 2.0)) / 3,) * 3], FamilyKind.IIFS)
+    @example([(0.5, 0.0, 0.5000000010000001), (0.5, 0.0, 0.5000000010000003)], FamilyKind.IIFS)
+    @example([(Fraction(1, 2), 0, Fraction(1, 2) + Fraction(ABS_TOL))], FamilyKind.IFS)
+    @example([(Fraction(1, 2), 0, Fraction(1, 2) - Fraction(ABS_TOL))], FamilyKind.IFS)
+    @example([(Fraction(1, 2), 0, Fraction(1, 2) + Fraction(math.nextafter(ABS_TOL, 1.0)))], FamilyKind.IFS)
+    @example([(Fraction(1, 2), 0, Fraction(1, 2) - Fraction(math.nextafter(ABS_TOL, 1.0)))], FamilyKind.IFS)
+    # sum-1 triplets stand in only for IFS pairs
+    @example([(0.25, 0.5, 0.25)], FamilyKind.PYFS)
+    @example([(0.25, 0.5, 0.25)], FamilyKind.FS)
+    def test_sets_of_rows(self, rows, kind):
+        names = tuple(f"x{k}" for k in range(len(rows)))
+        family = FamilySpec(kind)
+        want = outcome(lambda: rows_one_by_one(names, rows, family))
+        same_outcome(outcome(lambda: LabeledSet._of_rows(names, rows, family).rows), want)
+        same_outcome(outcome(lambda: LabeledSet(names, [Triplet(*row) for row in rows], family).rows), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 4).flatmap(lambda n: mixed_rows(n, edges=True)), st.sampled_from(TRIPLET_KINDS)),
+            st.tuples(st.integers(1, 4).flatmap(lambda n: mixed_rows(n, 2, edges=True)), st.sampled_from(PAIR_KINDS)),
+        ),
+        st.booleans(),
+    )
+    @example(([(0.5, 0.5000000010000001), (0.7, 0.3 + 5e-10)], FamilyKind.IFS), True)
+    @example(([(0.5, 0.5000000010000001), (0.5, 0.5000000010000003)], FamilyKind.IFS), True)
+    @example(([(0.5, 0.0, 0.5000000010000001), (0.5, 0.0, 0.5000000010000003)], FamilyKind.IIFS), True)
+    @example(([(0.5, float("nan"), 0.5)], FamilyKind.NS), True)
+    def test_documents_and_their_sets(self, rows_kind, validate_elements):
+        rows, kind = rows_kind
+        names = [f"é{k}" for k in range(len(rows))]
+        exponent = {"exponent": 3} if kind is FamilyKind.QROFS else {}
+        text = json.dumps({
+            "format_version": 1,
+            "family": {"kind": kind.value, **exponent},
+            "universe": names,
+            "elements": {name: [json_number(v) for v in row] for name, row in zip(names, rows)},
+        })
+        if validate_elements:
+            want = outcome(lambda: loads_one_by_one(text))
+            got = outcome(lambda: documents.loads(text))
+        else:
+            want = got = documents.loads(text, validate_elements=False)
+        if not same_outcome(got, want, lambda doc: typed_rows(doc.components)):
+            return
+        s = outcome(got.to_labeled_set)
+        want_rows = outcome(lambda: set_rows_one_by_one(want, validate_elements))
+        if same_outcome(s if isinstance(s, Exception) else s.rows, want_rows):
+            self.check_transforms(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(mixed_rows), st.booleans())
+    def test_transforms(self, rows, from_rows):
+        names = tuple(f"x{k}" for k in range(len(rows)))
+        ns = FamilySpec(FamilyKind.NS)
+        s = LabeledSet._of_rows(names, rows, ns) if from_rows else LabeledSet(names, [Triplet(*r) for r in rows], ns)
+        self.check_transforms(s)
+
+    @staticmethod
+    def check_transforms(s: LabeledSet) -> None:
+        def sup():
+            res = sup_transform(s)
+            return res.labeled.rows, res.refusals, res.denominator
+
+        def view(result):
+            rows, refusals, denom = result
+            return typed_rows(rows), typed_rows([[r.v for r in refusals]]), (type(denom), repr(denom))
+
+        same_outcome(outcome(sup), outcome(lambda: sup_one_by_one(s)), view)
+        same_outcome(outcome(lambda: normalize_elementwise(s).rows), outcome(lambda: normalize_one_by_one(s)))

@@ -243,6 +243,11 @@ class TestRefinedRefusal:
         assert float(got.lo) == pytest.approx(1 - 0.2 - 0.1 - 0.3, abs=1e-12)
         assert float(got.hi) == pytest.approx(1 - 0.1 - 0.0 - 0.3, abs=1e-12)
 
+    def test_interval_bound_sums_run_left_to_right(self):
+        # builtin sum compensates float sums from Python 3.12 on, which would give 0.19999999999999996 there
+        comps = RefinedComponents(t=(IntervalValue(0.0, 0.1), 0.2), i=(0.3,), f=(0.1, 0.1, 0.1))
+        assert refined_refusal(comps, RIIFS) == IntervalValue(0.09999999999999998, 0.20000000000000007)
+
 
 class TestRefineCoarsen:
     def test_equal_split_golden(self):

@@ -106,6 +106,14 @@ class TestNormalizeElementwise:
         s = LabeledSet.from_mapping({"x": (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))}, NS_TAG)
         assert normalize_elementwise(s).element("x") == s.element("x")
 
+    @pytest.mark.parametrize("other", [(0.7, 0.1, 0.1), (IntervalValue(0.1, 0.7), 0.1, 0.1)])
+    def test_component_sums_run_left_to_right(self, other):
+        # builtin sum compensates float sums from Python 3.12 on: there it would give
+        # (0.16666666666666669, 0.33333333333333337, 0.5) and refusals [0.5, 0.25], on sets with intervals or without
+        s = LabeledSet.from_mapping({"x": (0.1, 0.2, 0.3), "y": other}, NS_TAG)
+        assert normalize_elementwise(s).rows[0] == (0.16666666666666666, 0.3333333333333333, 0.4999999999999999)
+        assert [r.v for r in sup_transform(s).refusals] == [0.5, 0.2499999999999999]
+
     def test_zero_element_named_in_error(self):
         s = LabeledSet.from_mapping({"ok": (0.5, 0.2, 0.3), "bad": (0.0, 0.0, 0.0)}, NS_TAG)
         with pytest.raises(DegenerateInputError, match="bad"):
