@@ -24,7 +24,6 @@ from neutroset.families import (
     analytic_family_volume,
     classify_cube_region,
     estimate_family_volume,
-    validate,
 )
 from neutroset.operators import (
     NormPair,
@@ -121,7 +120,7 @@ def _cmd_validate(args) -> int:
     rows = []
     all_ok = True
     for name, comps in zip(doc.universe, doc.components):
-        report = validate(comps, family, args.tolerance)
+        report = documents._element_report(name, comps, family, args.tolerance)
         all_ok &= report.valid
         row = {
             "element": name,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from neutroset.core import NeutrosetError, UsageError, clamp_at_zero
-from neutroset.families import FamilyKind, FamilySpec, _admits_rows, _embedded_row, admits, validate
+from neutroset.core import ABS_TOL, ComponentRangeError, NeutrosetError, UsageError, clamp_at_zero
+from neutroset.families import FamilyKind, FamilySpec, ValidationReport, _embedded_row, _first_outside, validate
 from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
@@ -122,23 +122,35 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
                 f"element {name!r}: {family.describe()} takes {arity} components, got {len(row)}"
             )
         rows.append(tuple(row))
-    if validate_elements and not (family.component_cap == 1.0 and _in_unit_range(rows) and _admits_rows(rows, family)):
-        # some element fails: check one by one, raising for the first as admits and validate word it
-        for name, row in zip(universe, rows):
-            if not admits(row, family):
-                raise DocumentError(f"element {name!r} invalid: {validate(row, family).diagnostics}")
+    if validate_elements:
+        cap = family.component_cap
+        end = _first_out_of_range(rows, cap if cap == 1.0 else cap + ABS_TOL)  # the range _coerce_components admits
+        # the bound test stops at the first element out of range, so the first element to fail raises
+        k = _first_outside(rows[:end], family)
+        k = end if k < 0 else k
+        if k < len(rows):
+            name = universe[k]
+            raise DocumentError(f"element {name!r} invalid: {_element_report(name, rows[k], family).diagnostics}")
     doc = ElementSetDocument(family=family, universe=tuple(universe), components=tuple(rows))
     object.__setattr__(doc, "checked", validate_elements)
     return doc
 
 
-def _in_unit_range(rows) -> bool:
-    """Whether every component lies in [0, 1], where ``as_component`` keeps a number as it is (NaN does not)."""
-    for row in rows:
+def _first_out_of_range(rows, limit) -> int:
+    """The index of the first row with a component outside [0, ``limit``] (NaN among them), or ``len(rows)``."""
+    for k, row in enumerate(rows):
         for v in row:
-            if not 0 <= v <= 1:
-                return False
-    return True
+            if not 0 <= v <= limit:
+                return k
+    return len(rows)
+
+
+def _element_report(name: str, components, family: FamilySpec, tol: float = ABS_TOL) -> ValidationReport:
+    """``validate(components, family, tol)``; a component out of range raises a :class:`DocumentError` naming ``name``."""
+    try:
+        return validate(components, family, tol)
+    except ComponentRangeError as exc:
+        raise DocumentError(f"element {name!r} invalid: {exc}") from None
 
 
 def load(path: str | Path, validate_elements: bool = True) -> ElementSetDocument:

@@ -254,17 +254,12 @@ def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
     """
     if isinstance(components, Triplet):
         return admits_triplet(components.components(), family, tol)
-    row = family._row
-    return _within_bound(_coerce_components(components, row.arity, family.component_cap, family), family, tol)
+    return admits_triplet(_coerce_components(components, family.arity, family.component_cap, family), family, tol)
 
 
 def admits_triplet(parts: tuple, family: FamilySpec, tol: float = ABS_TOL) -> bool:
-    """:func:`admits` on the components of a :class:`Triplet`, already range-checked to [0, 1]."""
-    if family._row.arity == 2:
-        if family.kind is not FamilyKind.IFS:
-            raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
-        return abs(_powered_sum(parts, 1) - 1) <= tol
-    return _within_bound(parts, family, tol)
+    """:func:`admits` on range-checked components: a :class:`Triplet`'s, or ones coerced for ``family``."""
+    return _first_outside([tuple(map(sup_of, parts))], family, tol) < 0
 
 
 def _admits_unit_cube(family: FamilySpec) -> bool:
@@ -272,46 +267,29 @@ def _admits_unit_cube(family: FamilySpec) -> bool:
     return family._row.columns <= family.bound
 
 
-def _within_bound(parts: tuple, family: FamilySpec, tol: float) -> bool:
-    """:func:`admits` on components already coerced for ``family``."""
-    whole_cube, columns, exponent, bound = family._bound_test
-    if whole_cube and tol >= 0:
-        return True
-    return _powered_sum(parts[:columns], exponent) <= bound + tol
+def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
+    """The index of the first row outside ``family``'s bound, or -1 when every row is inside.
 
-
-def _admits_rows(rows, family: FamilySpec) -> bool:
-    """Whether every row is admitted at ``ABS_TOL``, tested in one pass over the rows.
-
-    The rows hold plain numbers, no intervals, already range-checked for
-    ``family``: all of one length, three (judged as :func:`admits_triplet`
-    judges them) or ``family.arity`` (as :func:`admits` judges them). Sums
-    run left to right from 0, as in :func:`_powered_sum`, so each row gets
-    the same verdict. False means some row fails, or a check would raise:
-    the per-element check tells which row and why.
+    The rows hold the components' suprema, range-checked for ``family``,
+    all of one length: ``family.arity``, or three under IFS, where a sum-1
+    triplet stands in for a pair (triplets under another pair family
+    raise). Sums run left to right from 0, as in :func:`_powered_sum`.
     """
     whole_cube, columns, exponent, bound = family._bound_test
+    limit = bound + tol
     if family._row.arity == 2 and rows and len(rows[0]) == 3:
         if family.kind is not FamilyKind.IFS:
-            return False
-        for t, i, f in rows:
-            if not abs(0 + t + i + f - 1) <= ABS_TOL:
-                return False
-        return True
-    if whole_cube:
-        return True
-    limit = bound + ABS_TOL
-    if exponent != 1:
-        return all(_powered_sum(row[:columns], exponent) <= limit for row in rows)
-    if columns == 3:
-        for t, i, f in rows:
-            if not 0 + t + i + f <= limit:
-                return False
-        return True
-    for t, f in rows:  # two columns: the pair families
-        if not 0 + t + f <= limit:
-            return False
-    return True
+            raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
+        inside = [abs(0 + t + i + f - 1) <= tol for t, i, f in rows]
+    elif whole_cube and tol >= 0:
+        return -1
+    elif exponent == 1 and columns == 3:
+        inside = [0 + t + i + f <= limit for t, i, f in rows]
+    elif exponent == 1 and columns == 2:
+        inside = [0 + t + f <= limit for t, f in rows]
+    else:
+        inside = [_powered_sum(row[:columns], exponent) <= limit for row in rows]
+    return inside.index(False) if False in inside else -1
 
 
 def _residual(name: str, spec, instance, check) -> UnitValue:
@@ -367,7 +345,7 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
     """The components of :func:`embed_into_ns`'s triplet, each already in [0, 1]."""
     row = from_family._row
     parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
-    if not _within_bound(parts, from_family, ABS_TOL):
+    if not admits_triplet(parts, from_family):
         raise ConstraintError(validate(parts, from_family).diagnostics)
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:

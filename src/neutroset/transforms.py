@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -27,7 +28,7 @@ from neutroset.core import (
     scalar_of,
     sup_of,
 )
-from neutroset.families import FamilyKind, FamilySpec, _admits_rows, _powered_sum, admits_triplet, validate
+from neutroset.families import FamilyKind, FamilySpec, _first_outside, validate
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -92,14 +93,10 @@ class LabeledSet:
             raise UsageError("universe is empty")
 
     def _check_members(self) -> None:
-        if not self._has_intervals and _admits_rows(self.rows, self.family):
-            return
-        # some element fails, or has intervals: check one by one, naming the first that fails
-        for name, row in zip(self.universe, self.rows):
-            if not admits_triplet(row, self.family):
-                raise UsageError(
-                    f"element {name!r} {tuple(map(float, _scalars(row)))} is not valid under {self.family.describe()}"
-                )
+        k = _first_outside(self._sup_rows(), self.family)
+        if k >= 0:
+            scalars = tuple(map(float, _scalars(self.rows[k])))
+            raise UsageError(f"element {self.universe[k]!r} {scalars} is not valid under {self.family.describe()}")
 
     @cached_property
     def triplets(self) -> tuple[Triplet, ...]:
@@ -112,6 +109,10 @@ class LabeledSet:
     def scalar_rows(self) -> Iterable[tuple]:
         """Each element's ``Triplet.scalars()``, computed as they are read."""
         return map(_scalars, self.rows) if self._has_intervals else self.rows
+
+    def _sup_rows(self) -> list | tuple:
+        """Each element's components by their suprema."""
+        return [tuple(map(sup_of, row)) for row in self.rows] if self._has_intervals else self.rows
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -148,10 +149,12 @@ def _scalars(row: tuple) -> tuple:
     return tuple(map(scalar_of, row))
 
 
-def _divide(component, denom: Real):
-    if isinstance(component, IntervalValue):
-        return IntervalValue(component.lo / denom, component.hi / denom)
-    return component / denom
+def _divided(s: LabeledSet, denominators: Iterable[Real]) -> list:
+    """Each row of ``s`` over its own denominator; intervals divide endpoint by endpoint."""
+    if s._has_intervals:
+        return [tuple(IntervalValue(c.lo / d, c.hi / d) if isinstance(c, IntervalValue) else c / d for c in row)
+                for row, d in zip(s.rows, denominators)]
+    return [(t / d, i / d, f / d) for (t, i, f), d in zip(s.rows, denominators)]
 
 
 @dataclass(frozen=True)
@@ -170,22 +173,13 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     what its rescaled components leave short of 1. Requires a nonzero
     sup-sum across the universe.
     """
-    rows = s.rows
-    if s._has_intervals:
-        sups = [max(sup_of(row[k]) for row in rows) for k in range(3)]
-    else:
-        sups = [max(map(itemgetter(k), rows)) for k in range(3)]
-    denom = sups[0] + sups[1] + sups[2]
+    sups = s._sup_rows()
+    denom = max(map(itemgetter(0), sups)) + max(map(itemgetter(1), sups)) + max(map(itemgetter(2), sups))
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
-    if s._has_intervals:
-        out = [tuple(_divide(c, denom) for c in row) for row in rows]
-        refusals = [UnitValue(clamp_at_zero(1 - _powered_sum(parts, 1))) for parts in out]
-    else:
-        out = [(t / denom, i / denom, f / denom) for t, i, f in rows]
-        refusals = [UnitValue(clamp_at_zero(1 - (0 + t + i + f))) for t, i, f in out]
-    labeled = LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IIFS))
-    return SupTransformResult(labeled=labeled, refusals=tuple(refusals), denominator=denom)
+    labeled = LabeledSet._of_rows(s.universe, _divided(s, repeat(denom)), FamilySpec(FamilyKind.IIFS))
+    refusals = tuple(UnitValue(clamp_at_zero(1 - (0 + t + i + f))) for t, i, f in labeled._sup_rows())
+    return SupTransformResult(labeled=labeled, refusals=refusals, denominator=denom)
 
 
 def normalize_elementwise(s: LabeledSet) -> LabeledSet:
@@ -194,20 +188,11 @@ def normalize_elementwise(s: LabeledSet) -> LabeledSet:
     Every output element sums to 1 (a fixed point for inputs already doing
     so); elements whose components are all zero are rejected by name.
     """
-    out = []
-    if s._has_intervals:
-        for name, row in zip(s.universe, s.rows):
-            total = _powered_sum(row, 1)
-            if total <= ABS_TOL:
-                raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
-            out.append(tuple(_divide(c, total) for c in row))
-    else:
-        for name, (t, i, f) in zip(s.universe, s.rows):
-            total = 0 + t + i + f
-            if total <= ABS_TOL:
-                raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
-            out.append((t / total, i / total, f / total))
-    return LabeledSet._of_rows(s.universe, out, FamilySpec(FamilyKind.IFS))
+    totals = [0 + t + i + f for t, i, f in s._sup_rows()]
+    for name, total in zip(s.universe, totals):
+        if total <= ABS_TOL:
+            raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
+    return LabeledSet._of_rows(s.universe, _divided(s, totals), FamilySpec(FamilyKind.IFS))
 
 
 @dataclass(frozen=True)
@@ -266,11 +251,8 @@ def divergence_report(path_a: LabeledSet, path_b: LabeledSet, tol: float = ABS_T
         raise UsageError(
             f"universe mismatch: {list(path_a.universe)} vs {list(path_b.universe)}"
         )
-    deltas = []
-    for ra, rb in zip(path_a.rows, path_b.rows):
-        a = [float(sup_of(c)) for c in ra]
-        b = [float(sup_of(c)) for c in rb]
-        deltas.append(tuple(x - y for x, y in zip(a, b)))
+    pairs = zip(path_a._sup_rows(), path_b._sup_rows())
+    deltas = [tuple(float(x) - float(y) for x, y in zip(ra, rb)) for ra, rb in pairs]
     max_abs = max((abs(d) for row in deltas for d in row), default=0.0)
     return DivergenceReport(
         universe=path_a.universe,

@@ -568,6 +568,41 @@ class TestMalformedCalls:
         path.write_text(json.dumps(raw))
         assert self._one_line_error(["validate", str(path)], capsys) == f"document error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(1.5, "component value 1.5 outside permitted range"), (float("nan"), "component value nan is not finite")],
+        ids=["above-one", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate", "{bad}"],
+            ["transform", "{bad}", "--method", "sup"],
+            ["transform", "{bad}", "--method", "normalize"],
+            ["op", "--op", "not", "{bad}"],
+            ["op", "--op", "and", "{bad}", "{good}"],
+            ["op", "--op", "or", "{good}", "{bad}"],
+        ],
+        ids=["validate", "sup", "normalize", "not", "and", "or"],
+    )
+    def test_component_out_of_range_names_its_element(self, value, message, command, doc_paths, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**A_N_DOC, "elements": {**A_N_DOC["elements"], "x2": [value, 0, 0]}}))
+        with pytest.raises(documents.DocumentError) as info:
+            documents.loads(path.read_text())
+        assert str(info.value) == f"element 'x2' invalid: {message}"
+        argv = [arg.format(bad=path, good=doc_paths[0]) for arg in command]
+        assert self._one_line_error(argv, capsys) == f"document error: element 'x2' invalid: {message}\n"
+
+    def test_range_errors_keep_document_order(self):
+        elements = {"x1": [0.5, 0.5, 0.5], "x2": [1.5, 0, 0], "x3": [0.9, 0.9, 0.9]}
+        doc = {"format_version": 1, "family": {"kind": "IIFS"}, "universe": ["x1", "x2", "x3"], "elements": elements}
+        with pytest.raises(documents.DocumentError, match=r"^element 'x1' invalid: IIFS: constraint value 1\.5"):
+            documents.loads(json.dumps(doc))
+        elements["x1"] = [0.1, 0.1, 0.1]
+        with pytest.raises(documents.DocumentError, match=r"^element 'x2' invalid: component value 1\.5 outside"):
+            documents.loads(json.dumps(doc))
+
     def test_neutrosophify_size_not_a_number(self, capsys):
         argv = ["decide", "neutrosophify", "--sizes", "a=x", "--groups", "a=accept"]
         assert "a=x" in self._one_line_error(argv, capsys)

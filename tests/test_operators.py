@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from neutroset import documents, operators, transforms
 from neutroset.core import (
     ABS_TOL,
+    ComponentRangeError,
     ConstraintError,
     DegenerateInputError,
     IntervalValue,
@@ -23,7 +24,7 @@ from neutroset.core import (
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
-    _admits_rows,
+    _first_outside,
     admits,
     admits_triplet,
     embed_into_ns,
@@ -434,11 +435,10 @@ class TestSetwise:
 
         def counted_rows(rows, family):
             calls.extend([family.kind] * len(rows))
-            return _admits_rows(rows, family)
+            return _first_outside(rows, family)
 
         monkeypatch.setattr(operators, "admits_triplet", counted)
-        monkeypatch.setattr(transforms, "admits_triplet", counted)
-        monkeypatch.setattr(transforms, "_admits_rows", counted_rows)
+        monkeypatch.setattr(transforms, "_first_outside", counted_rows)
         return calls
 
     @pytest.mark.parametrize("op", list(Op))
@@ -621,7 +621,11 @@ def rows_one_by_one(names, rows, family: FamilySpec) -> list:
 def loads_one_by_one(text: str) -> documents.ElementSetDocument:
     doc = documents.loads(text, validate_elements=False)
     for name, row in zip(doc.universe, doc.components):
-        if not admits(row, doc.family):
+        try:
+            admitted = admits(row, doc.family)
+        except ComponentRangeError as exc:
+            raise documents.DocumentError(f"element {name!r} invalid: {exc}") from None
+        if not admitted:
             raise documents.DocumentError(f"element {name!r} invalid: {validate(row, doc.family).diagnostics}")
     return doc
 
