@@ -211,9 +211,9 @@ class Pair:
 
     @classmethod
     def from_triplet(cls, triplet: Triplet, tol: float = ABS_TOL) -> "Pair":
-        """Down-convert a sum-1 triplet, dropping its derivable middle component."""
+        """Down-convert a triplet summing to 1 within ``tol``, dropping its derivable middle component."""
         s = triplet.component_sum()
-        if abs(s - 1) > tol:
+        if not 1 - tol <= s <= 1 + tol:
             raise UsageError(f"triplet components sum to {s}, not 1; cannot drop the middle component")
         t, _, f = triplet.scalars()
         return cls(t, f)

@@ -45,16 +45,13 @@ class ElementSetDocument:
             # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
             checked = self.checked and not self.family.kind.row.extended
         elif self.checked and self.family.kind is FamilyKind.IFS:
-            # loads found t + f <= 1 within tolerance: widen as embed_into_ns does, without checking again
+            # loads found 0 + t + f <= 1 + tol: widen as embed_into_ns does, without checking again
             rows = [(t, clamp_at_zero(1 - t - f), f) for t, f in self.components]
             checked = True
         else:
             rows = [_embedded_row(row, self.family) for row in self.components]
-            checked = self.family.kind is FamilyKind.IFS  # the embedding checked each pair
-        if checked:
-            # the rows of a loaded document are JSON numbers
-            return LabeledSet._of_checked(self.universe, rows, self.family, scalars=self.checked)
-        return LabeledSet._of_rows(self.universe, rows, self.family)
+            checked = False
+        return LabeledSet._of_rows(self.universe, rows, self.family, checked)
 
 
 def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:

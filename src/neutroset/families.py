@@ -95,8 +95,8 @@ _INCLUSION_CHAIN = (FamilyKind.IFS, FamilyKind.IIFS, FamilyKind.NS)
 def includes(outer: FamilySpec, inner: FamilySpec) -> bool:
     """Whether every triplet :func:`admits` finds valid under ``inner`` is valid under ``outer`` too.
 
-    Both are judged at ``ABS_TOL``: |s - 1| <= tol gives s <= 1 + tol, and
-    ``1 + ABS_TOL`` rounds up, so no sum slips between IFS and IIFS.
+    Both are judged at ``ABS_TOL``, and a sum-1 triplet standing in for an
+    IFS pair meets IIFS's own upper comparison, so no sum slips between them.
     """
     chain = _INCLUSION_CHAIN
     if inner.kind in chain:
@@ -225,7 +225,10 @@ def _powered_sum(parts, exponent: Real) -> Real:
         elif exponent == 2:
             acc = acc + v * v
         else:
-            acc = acc + math.pow(v, exponent)
+            try:
+                acc = acc + math.pow(v, exponent)
+            except OverflowError:  # a component past 1 under a huge exponent: no bound admits it
+                acc = math.inf
     return acc
 
 
@@ -273,14 +276,15 @@ def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
     The rows hold the components' suprema, range-checked for ``family``,
     all of one length: ``family.arity``, or three under IFS, where a sum-1
     triplet stands in for a pair (triplets under another pair family
-    raise). Sums run left to right from 0, as in :func:`_powered_sum`.
+    raise). A stand-in sums to 1 when 1 - tol <= sum <= 1 + tol, the upper
+    comparison being the pair test's own. Sums run left to right from 0, as in :func:`_powered_sum`.
     """
     whole_cube, columns, exponent, bound = family._bound_test
     limit = bound + tol
     if family._row.arity == 2 and rows and len(rows[0]) == 3:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
-        inside = [abs(0 + t + i + f - 1) <= tol for t, i, f in rows]
+        inside = [1 - tol <= 0 + t + i + f <= limit for t, i, f in rows]
     elif whole_cube and tol >= 0:
         return -1
     elif exponent == 1 and columns == 3:

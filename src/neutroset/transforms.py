@@ -45,66 +45,56 @@ class LabeledSet:
 
     def __init__(self, universe, triplets, family: FamilySpec):
         triplets = tuple(triplets)
-        self._set_elements(universe, tuple(_components(t) for t in triplets), family)
+        self._build(universe, map(_components, triplets), family)
         self.__dict__["triplets"] = triplets  # the view, already at hand
-        self._check_members()
 
     @classmethod
-    def _of_checked(cls, universe, rows, family: FamilySpec, scalars: bool = False) -> "LabeledSet":
-        """A set of rows the caller has already found valid under ``family``; only its shape is checked.
+    def _of_rows(cls, universe, rows, family: FamilySpec, checked=False) -> "LabeledSet":
+        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them.
 
-        ``scalars`` says the caller knows the rows hold no intervals, so nothing rescans them for one.
+        ``checked`` rows are JSON numbers in [0, 1] the caller has found valid under ``family``: they
+        build the same set, with only its shape checked.
         """
         s = object.__new__(cls)
-        s._set_elements(universe, tuple(rows), family)
-        if scalars:
-            s.__dict__["_has_intervals"] = False
+        s._build(universe, rows, family, checked)
         return s
 
-    @classmethod
-    def _of_rows(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
-        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them."""
-        # every range first, then membership: the order in which building the Triplets and then the set fails
-        checked = []
-        append = checked.append
-        unit_floats = True
-        for row in rows:
-            if len(row) == 3:
-                t, i, f = row
-                # floats in [0, 1], which Triplet keeps as they are
-                if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
-                    append(row)
-                    continue
-            append(Triplet(*row).components())
-            unit_floats = False
-        s = cls._of_checked(universe, checked, family, scalars=unit_floats)
-        s._check_members()
-        return s
-
-    def _set_elements(self, universe, rows: tuple, family: FamilySpec) -> None:
+    def _build(self, universe, rows, family: FamilySpec, checked=False) -> None:
+        # every range first, then the shape, then membership: the order in which building the Triplets
+        # and then the set fails
+        has_intervals = False
+        if not checked:
+            ranged = []
+            append = ranged.append
+            for row in rows:
+                if len(row) == 3:
+                    t, i, f = row
+                    # floats in [0, 1], which Triplet keeps as they are
+                    if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
+                        append(row)
+                        continue
+                row = Triplet(*row).components()
+                has_intervals = has_intervals or any(isinstance(c, IntervalValue) for c in row)
+                append(row)
+            rows = ranged
         object.__setattr__(self, "universe", tuple(universe))
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "family", family)
-        if len(self.universe) != len(rows):
-            raise UsageError(f"{len(self.universe)} element names but {len(rows)} triplets")
+        object.__setattr__(self, "_has_intervals", has_intervals)
+        if len(self.universe) != len(self.rows):
+            raise UsageError(f"{len(self.universe)} element names but {len(self.rows)} triplets")
         if len(set(self.universe)) != len(self.universe):
             raise UsageError("universe contains duplicate element names")
         if not self.universe:
             raise UsageError("universe is empty")
-
-    def _check_members(self) -> None:
-        k = _first_outside(self._sup_rows(), self.family)
+        k = -1 if checked else _first_outside(self._sup_rows(), family)
         if k >= 0:
             scalars = tuple(map(float, _scalars(self.rows[k])))
-            raise UsageError(f"element {self.universe[k]!r} {scalars} is not valid under {self.family.describe()}")
+            raise UsageError(f"element {self.universe[k]!r} {scalars} is not valid under {family.describe()}")
 
     @cached_property
     def triplets(self) -> tuple[Triplet, ...]:
         return tuple(Triplet(*row) for row in self.rows)
-
-    @cached_property
-    def _has_intervals(self) -> bool:
-        return any(isinstance(c, IntervalValue) for row in self.rows for c in row)
 
     def scalar_rows(self) -> Iterable[tuple]:
         """Each element's ``Triplet.scalars()``, computed as they are read."""

@@ -110,7 +110,7 @@ mutations = st.one_of(
 
 #: Values for flags and positionals without choices, as (accepted, rejected) by the command.
 INTS = (["0", "1", "2", "7", "1000"], ["-1", "x", "1e3"])
-FLOATS = (["0", "0.3", "0.5", "0.7", "1", "2", "2.5"], ["-1", "nan", "inf", "1e400", "x"])
+FLOATS = (["0", "0.3", "0.5", "0.7", "1", "2", "2.5", "1e15"], ["-1", "nan", "inf", "1e400", "x"])
 TEXT = {
     "family": (["NS", "IFS", "IIFS", "PyFS", "QROFS", "SFS", "NHSNS", "FS", "pfs"], ["XYZ", ""]),
     "system": (["NS", "IFS", "IIFS-max", "IIFS-min", "iifs-MAX"], ["bogus"]),

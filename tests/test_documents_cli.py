@@ -603,6 +603,33 @@ class TestMalformedCalls:
         with pytest.raises(documents.DocumentError, match=r"^element 'x2' invalid: component value 1\.5 outside"):
             documents.loads(json.dumps(doc))
 
+    SET_COMMANDS = [["transform", "{doc}", "--method", "sup"], ["transform", "{doc}", "--method", "normalize"],
+                    ["op", "--op", "not", "{doc}"], ["op", "--op", "and", "{doc}", "{doc}"]]
+
+    @pytest.mark.parametrize("command", SET_COMMANDS, ids=["sup", "normalize", "not", "and"])
+    def test_a_power_past_the_float_range_is_outside_the_bound(self, command, tmp_path, capsys):
+        # 1.0000000005 is within the cap 3 ** (1 / 1e15) + tol, but its 1e15-th power overflows a float
+        doc = {"format_version": 1, "family": {"kind": "NHSNS", "exponent": 1e15}, "universe": ["a"],
+               "elements": {"a": [1.0000000005, 0, 0]}}
+        path = tmp_path / "huge-power.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--format", "json", "validate", str(path)]) == 1
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["valid"] is False and row["constraint"] == float("inf")
+        err = self._one_line_error([arg.format(doc=path) for arg in command], capsys)
+        assert err == "document error: element 'a' invalid: NHSNS(exponent=1000000000000000.0): constraint value inf vs bound 3\n"
+
+    @pytest.mark.parametrize("command", SET_COMMANDS, ids=["sup", "normalize", "not", "and"])
+    def test_a_component_no_set_holds_names_its_element(self, command, tmp_path, capsys):
+        doc = {"format_version": 1, "family": {"kind": "SNS"}, "universe": ["b", "a"],
+               "elements": {"b": [0.1, 0.2, 0.3], "a": [1.2, 0.3, 0.4]}}
+        path = tmp_path / "above-one.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0  # SNS admits components up to sqrt(3)
+        capsys.readouterr()
+        err = self._one_line_error([arg.format(doc=path) for arg in command], capsys)
+        assert err == "document error: element 'a' cannot form a set: component value 1.2 outside permitted range\n"
+
     def test_neutrosophify_size_not_a_number(self, capsys):
         argv = ["decide", "neutrosophify", "--sizes", "a=x", "--groups", "a=accept"]
         assert "a=x" in self._one_line_error(argv, capsys)

@@ -14,6 +14,7 @@ from neutroset.core import (
     DegenerateInputError,
     IntervalValue,
     NeutrosetError,
+    Pair,
     Triplet,
     UnitValue,
     UsageError,
@@ -22,11 +23,13 @@ from neutroset.core import (
     sup_of,
 )
 from neutroset.families import (
+    CubeRegion,
     FamilyKind,
     FamilySpec,
     _first_outside,
     admits,
     admits_triplet,
+    classify_cube_region,
     embed_into_ns,
     includes,
     validate,
@@ -153,7 +156,7 @@ def operand_rule(x: Triplet, system: SystemKind) -> bool:
     t, i, f = x.scalars()
     s = t + i + f
     if system is SystemKind.IFS:
-        return abs(s - 1) <= ABS_TOL
+        return 1 - ABS_TOL <= s <= 1 + ABS_TOL
     if system in (SystemKind.IIFS_MAX_I, SystemKind.IIFS_MIN_I):
         return s <= 1 + ABS_TOL
     return True
@@ -764,3 +767,73 @@ class TestOnePassAgreesWithOneByOne:
 
         same_outcome(outcome(sup), outcome(lambda: sup_one_by_one(s)), view)
         same_outcome(outcome(lambda: normalize_elementwise(s).rows), outcome(lambda: normalize_one_by_one(s)))
+
+
+#: Every family whose documents hold triplets, with an exponent where the family takes one.
+TRIPLET_DOCUMENT_FAMILIES = [FamilySpec(kind, 3 if kind.row.exponent is None else None)
+                             for kind in FamilyKind if kind.row.arity == 3]
+
+
+def document_text(rows, family: FamilySpec) -> str:
+    names = [f"x{k}" for k in range(len(rows))]
+    exponent = {} if family.exponent is None else {"exponent": family.exponent}
+    return json.dumps({
+        "format_version": 1,
+        "family": {"kind": family.kind.value, **exponent},
+        "universe": names,
+        "elements": {name: [json_number(v) for v in row] for name, row in zip(names, rows)},
+    })
+
+
+@st.composite
+def ifs_pairs(draw):
+    """(t, f) pairs, often summing to 1, or to a sum on the edges of the tolerance around it."""
+    t = draw(mixed_components)
+    total = draw(st.one_of(mixed_components, st.just(1), st.sampled_from(EDGE_SUMS)))
+    f = total - Fraction(t)
+    assume(0 <= f <= 1)
+    return (t, float(f) if draw(st.booleans()) else f)
+
+
+class TestTrustIsOnlyAShortCut:
+    """A document ``loads`` has checked builds the set a full check of the same rows builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(1, 4).flatmap(lambda n: mixed_rows(n, edges=True)),
+                      st.sampled_from(TRIPLET_DOCUMENT_FAMILIES)),
+            st.tuples(st.integers(1, 4).flatmap(lambda n: mixed_rows(n, 2, edges=True)),
+                      st.just(FamilySpec(FamilyKind.IFS))),
+        )
+    )
+    @example(([(0.5000000005, 0.5000000005)], FamilySpec(FamilyKind.IFS)))
+    def test_a_checked_document_builds_the_fully_checked_set(self, rows_family):
+        rows, family = rows_family
+        doc = outcome(lambda: documents.loads(document_text(rows, family)))
+        assume(not isinstance(doc, Exception))
+        if family.arity == 3:
+            rows = doc.components
+        else:
+            rows = [embed_into_ns(row, family).components() for row in doc.components]
+        want = outcome(lambda: LabeledSet._of_rows(doc.universe, rows, family))
+        got = outcome(doc.to_labeled_set)
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert typed_rows(got.rows) == typed_rows(want.rows)
+        assert got == want and hash(got) == hash(want)
+        assert got._has_intervals is want._has_intervals is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(ifs_pairs())
+    @example((0.5000000005, 0.5000000005))
+    @example((Fraction(1, 2), Fraction(1, 2) + Fraction(ABS_TOL)))
+    def test_a_valid_ifs_pair_is_a_sum_1_triplet(self, pair):
+        ifs = FamilySpec(FamilyKind.IFS)
+        assume(validate(pair, ifs).valid)
+        triplet = embed_into_ns(pair, ifs)
+        assert LabeledSet(("p",), (triplet,), ifs).triplets == (triplet,)
+        back = Pair.from_triplet(triplet)
+        assert [(type(v), repr(v)) for v in back.components()] == [(type(v), repr(v)) for v in pair]
+        assert classify_cube_region(triplet) is CubeRegion.COMPLETE
