@@ -54,7 +54,10 @@ def _render(payload: dict, fmt: str, places) -> None:
     if places is not None:
         payload = {k: v if k in _ECHOED_SETTINGS else _round_tree(v, places) for k, v in payload.items()}
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        try:
+            print(json.dumps(payload, indent=2, allow_nan=False))
+        except ValueError:  # NaN or an infinity: strict JSON has no number for them, so they print as null
+            print(json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), indent=2))
     else:
         _print_table(payload)
 

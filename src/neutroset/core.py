@@ -147,12 +147,12 @@ def inf_of(x: Real | IntervalValue) -> Real:
     return x.lo if isinstance(x, IntervalValue) else x
 
 
-def clamp_at_zero(x: Real) -> Real:
-    """``x``, or a zero of ``x``'s own type where rounding left it below zero.
+def leftover(total: Real) -> Real:
+    """What ``total``, a component sum taken left to right from 0, leaves short of 1.
 
-    ``x - x`` keeps ints and Fractions exact and gives +0.0 for floats.
+    ``1 - total`` below 1, else a zero of ``total``'s own type: ints and Fractions stay exact, floats give +0.0.
     """
-    return x if x > 0 else x - x
+    return 1 - total if total < 1 else total - total
 
 
 def scalar_of(x: Real | IntervalValue) -> Real:

@@ -39,15 +39,12 @@ class Partition3:
     dependence: DependenceMode = DependenceMode.SUM_TO_ONE
 
     def __post_init__(self):
-        if not isinstance(self.accept_fraction, UnitValue):
-            object.__setattr__(self, "accept_fraction", UnitValue(self.accept_fraction))
-        if not isinstance(self.noncommit_fraction, UnitValue):
-            object.__setattr__(self, "noncommit_fraction", UnitValue(self.noncommit_fraction))
-        if not isinstance(self.reject_fraction, UnitValue):
-            object.__setattr__(self, "reject_fraction", UnitValue(self.reject_fraction))
+        for name in ("accept_fraction", "noncommit_fraction", "reject_fraction"):
+            if not isinstance(getattr(self, name), UnitValue):
+                object.__setattr__(self, name, UnitValue(getattr(self, name)))
         if self.dependence is DependenceMode.SUM_TO_ONE:
             s = self.accept_fraction.v + self.noncommit_fraction.v + self.reject_fraction.v
-            if abs(s - 1) > ABS_TOL:
+            if not 1 - ABS_TOL <= s <= 1 + ABS_TOL:
                 raise UsageError(f"sum-to-one partition fractions sum to {float(s)!r}")
 
     def as_tuple(self) -> tuple[Real, Real, Real]:
@@ -96,15 +93,11 @@ def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -
         if label not in groups:
             raise UsageError(f"label {label!r} has no group assignment")
         totals[groups[label]] += size
-    grand = sum(totals.values())
+    accept, noncommit, reject = totals.values()
+    grand = 0 + accept + noncommit + reject  # left to right: builtin sum compensates floats from Python 3.12 on
     if grand <= 0:
         raise DegenerateInputError("total measure is zero; no fractions to form")
-    return Partition3(
-        accept_fraction=UnitValue(totals[Verdict.ACCEPT] / grand),
-        noncommit_fraction=UnitValue(totals[Verdict.NONCOMMIT] / grand),
-        reject_fraction=UnitValue(totals[Verdict.REJECT] / grand),
-        dependence=DependenceMode.SUM_TO_ONE,
-    )
+    return Partition3(accept / grand, noncommit / grand, reject / grand)
 
 
 def three_ways(scores: Sequence[Real], alpha: Real, beta: Real) -> tuple[tuple[Verdict, ...], Partition3]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from neutroset.core import PRINTED_TOL, Pair, Triplet, UsageError
+from neutroset.core import PRINTED_TOL, Pair, Triplet, UsageError, leftover
 from neutroset.decision import (
     OffsetClass,
     Verdict,
@@ -220,14 +220,14 @@ def exhibit_paradox() -> list[Check]:
 def exhibit_counterexample3() -> list[Check]:
     """Squared-pair dependence: full membership caps falsehood, hesitancy is forced."""
     tol = PRINTED_TOL
-    bound_f = math.sqrt(1 - 0.9 * 0.9)
+    bound_f = math.sqrt(leftover(0.9 * 0.9))
     hes = hesitancy(Pair(0.9, 0.2), FamilySpec(FamilyKind.PYFS))
     embedded = embed_into_ns(Pair(0.9, 0.2), FamilySpec(FamilyKind.PYFS))
     return [
         _compare("max_falsehood_at_t09", bound_f, 0.44, tol),
         _compare("hesitancy_t09_f02", float(hes.v), 0.39, tol),
         _compare("embedding", _trip(embedded), (0.81, 0.15, 0.04), tol),
-        _compare("embedding_sums_to_1", float(sum(embedded.scalars())), 1.0, 1e-9),
+        _compare("embedding_sums_to_1", float(embedded.component_sum()), 1.0, 1e-9),
     ]
 
 

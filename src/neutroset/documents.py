@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from neutroset.core import ABS_TOL, ComponentRangeError, NeutrosetError, UsageError, clamp_at_zero
+from neutroset.core import ABS_TOL, ComponentRangeError, NeutrosetError, UsageError, leftover
 from neutroset.families import FamilyKind, FamilySpec, ValidationReport, _embedded_row, _first_outside, validate
 from neutroset.transforms import LabeledSet
 
@@ -46,7 +46,7 @@ class ElementSetDocument:
             checked = self.checked and not self.family.kind.row.extended
         elif self.checked and self.family.kind is FamilyKind.IFS:
             # loads found 0 + t + f <= 1 + tol: widen as embed_into_ns does, without checking again
-            rows = [(t, clamp_at_zero(1 - t - f), f) for t, f in self.components]
+            rows = [(t, leftover(0 + t + f), f) for t, f in self.components]
             checked = True
         else:
             rows = [_embedded_row(row, self.family) for row in self.components]

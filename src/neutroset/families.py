@@ -27,7 +27,7 @@ from neutroset.core import (
     UnitValue,
     UsageError,
     as_component,
-    clamp_at_zero,
+    leftover,
     sup_of,
 )
 
@@ -309,7 +309,7 @@ def _residual(name: str, spec, instance, check) -> UnitValue:
     report = check(instance, spec)
     if not report.valid:
         raise ConstraintError(report.diagnostics)
-    deficit = clamp_at_zero(1 - report.constraint_value)
+    deficit = leftover(report.constraint_value)
     e = spec.effective_exponent
     if e == 1:
         return UnitValue(deficit)
@@ -360,7 +360,7 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
         t, f = map(sup_of, parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
-        return (tp, clamp_at_zero(1 - tp - fp), fp)
+        return (tp, leftover(0 + tp + fp), fp)
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
 
 
@@ -406,6 +406,8 @@ def classify_cube_region(components, tol: float = ABS_TOL) -> CubeRegion:
     if isinstance(components, Triplet):
         components = components.components()
     s = _powered_sum(components, 1)
+    if not -math.inf < s < math.inf:  # NaN would fail both comparisons below and read as COMPLETE
+        raise ComponentRangeError(s, f"component sum {s!r} is not finite")
     if s < 1 - tol:
         return CubeRegion.INCOMPLETE
     if s > 1 + tol:

@@ -22,7 +22,7 @@ from enum import Enum
 from numbers import Real
 from typing import Iterable
 
-from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, clamp_at_zero
+from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, leftover
 from neutroset.families import FamilyKind, FamilySpec, _powered_sum, admits_triplet, includes
 from neutroset.transforms import LabeledSet, _scalars
 
@@ -169,7 +169,7 @@ def _conjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
     if kind is SystemKind.NS:
         return (t, join(ia, ib), f)
     if kind is SystemKind.IFS:
-        return (t, clamp_at_zero(1 - t - f), f)
+        return (t, leftover(0 + t + f), f)
     if kind is SystemKind.IIFS_MIN_I:
         return (t, meet(ia, ib), f)
     return _restore_sum_bound(t, meet(ia, ib), join(ia, ib), f, overflow)
@@ -181,10 +181,8 @@ def _disjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
     kind, meet, join, _ = sys._resolved
     t = join(ta, tb)
     f = meet(fa, fb)
-    if kind is SystemKind.NS:
-        return (t, meet(ia, ib), f)
     if kind is SystemKind.IFS:
-        return (t, clamp_at_zero(1 - t - f), f)
+        return (t, leftover(0 + t + f), f)
     return (t, meet(ia, ib), f)
 
 

@@ -26,6 +26,7 @@ from neutroset.core import (
     UsageError,
     as_component,
     inf_of,
+    leftover,
 )
 from neutroset.families import FamilyKind, ValidationReport
 
@@ -154,7 +155,7 @@ def refined_refusal(c: RefinedComponents, fam: RefinedFamilySpec) -> UnitValue |
     parts = [as_component(v) for v in c.all_parts()]
     if fam.effective_exponent != 1 or not any(isinstance(p, IntervalValue) for p in parts):
         return low
-    return IntervalValue(low.v, 1 - families._powered_sum([inf_of(p) for p in parts], 1))
+    return IntervalValue(low.v, leftover(families._powered_sum([inf_of(p) for p in parts], 1)))
 
 
 def refine(

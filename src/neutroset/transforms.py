@@ -23,8 +23,8 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
-    clamp_at_zero,
     inf_of,
+    leftover,
     scalar_of,
     sup_of,
 )
@@ -168,7 +168,7 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
     labeled = LabeledSet._of_rows(s.universe, _divided(s, repeat(denom)), FamilySpec(FamilyKind.IIFS))
-    refusals = tuple(UnitValue(clamp_at_zero(1 - (0 + t + i + f))) for t, i, f in labeled._sup_rows())
+    refusals = tuple(UnitValue(leftover(0 + t + i + f)) for t, i, f in labeled._sup_rows())
     return SupTransformResult(labeled=labeled, refusals=refusals, denominator=denom)
 
 

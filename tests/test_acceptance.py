@@ -7,6 +7,7 @@ randomized property suites, one test per property at 1000 cases each.
 
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -257,3 +258,9 @@ def test_criterion_9_demo_all(capsys):
     assert elapsed < 10.0, f"criterion 9 took {elapsed:.3f}s"
     with capsys.disabled():
         print(f"\nACCEPTANCE 9: PASS  (demo --all, exit 0, {elapsed * 1e3:.0f} ms)")
+
+
+def test_demo_json_is_pinned_byte_for_byte(capsys):
+    """Every recomputed figure of ``--format json demo --all``, to the last digit, is the checked-in one."""
+    assert cli.main(["--format", "json", "demo", "--all"]) == 0
+    assert capsys.readouterr().out.encode() == (Path(__file__).parent / "data" / "demo_all.json").read_bytes()

@@ -192,6 +192,21 @@ ONE_ERROR = re.compile(r"(document )?error: \S")
 USAGE_ERROR = re.compile(r"neutroset( [\w-]+)?: error: \S")
 
 
+def reject_constant(token: str):
+    raise AssertionError(f"stdout holds {token}, which strict JSON has no number for")
+
+
+def assert_strict_json(argv, code, out: str) -> None:
+    """A call that ran under ``--format json`` prints one strict JSON document.
+
+    ``demo --list`` prints exhibit names and ``matrix --emit`` appends the
+    grid, in either format.
+    """
+    formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+    if formats[-1:] == ["json"] and code in (0, 1) and not {"--list", "--emit"} & set(argv):
+        json.loads(out, parse_constant=reject_constant)
+
+
 def assert_contract(code, err: str) -> None:
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
@@ -230,9 +245,21 @@ class TestCliContract:
     @given(st.sampled_from(sorted(BASES)), mutations, st.data())
     def test_any_call_exits_0_1_or_2_without_a_traceback(self, family, mutation, data):
         with files_of(family, mutation) as files:
-            code, _, err = run(data.draw(command_lines(files), label="argv"))
+            argv = data.draw(command_lines(files), label="argv")
+            code, out, err = run(argv)
         event(f"{mutation[0]} mutation, exit {code}")
         assert_contract(code, err)
+        assert_strict_json(argv, code, out)
+
+    def test_a_non_finite_number_prints_as_null_in_json_and_as_is_in_a_table(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"format_version": 1, "family": {"kind": "NHSNS", "exponent": 1e15},
+                                    "universe": ["a"], "elements": {"a": [1.0000000005, 0, 0]}}))
+        code, out, err = run(["--format", "json", "validate", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out, parse_constant=reject_constant)["rows"][0]["constraint"] is None
+        code, out, _ = run(["validate", str(path)])
+        assert code == 1 and "(1.0000000005, 0.0, 0.0)  inf  " in out
 
     @settings(max_examples=150, deadline=None)
     @given(

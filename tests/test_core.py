@@ -13,8 +13,8 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
-    clamp_at_zero,
     dependence_sum_bound,
+    leftover,
     make_unit,
     scalar_of,
 )
@@ -162,13 +162,14 @@ class TestPair:
             Pair.from_triplet(Triplet(0.3, 0.3, 0.1))
 
 
-class TestClampAtZero:
-    @pytest.mark.parametrize("x", [Fraction(-1, 10**10), -1, -1e-17, 0.0, 0, Fraction(0)])
-    def test_zero_of_the_input_type(self, x):
-        got = clamp_at_zero(x)
-        assert got == 0 and type(got) is type(x)
+class TestLeftover:
+    @pytest.mark.parametrize("total", [1 + Fraction(1, 10**10), 2, 1 + 1e-17, 1.0, 1, Fraction(1)])
+    def test_zero_of_the_input_type(self, total):
+        got = leftover(total)
+        assert got == 0 and type(got) is type(total)
         assert str(got) != "-0.0"
 
-    @pytest.mark.parametrize("x", [Fraction(1, 3), 1, 0.25])
-    def test_positive_values_pass_through(self, x):
-        assert clamp_at_zero(x) is x
+    @pytest.mark.parametrize("total, x", [(Fraction(2, 3), Fraction(1, 3)), (0, 1), (0.75, 0.25)])
+    def test_what_a_sum_below_1_leaves(self, total, x):
+        got = leftover(total)
+        assert got == x and type(got) is type(x)

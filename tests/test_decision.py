@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neutroset.core import DegenerateInputError, UsageError
+from neutroset.core import DegenerateInputError, Pair, Triplet, UsageError
 from neutroset.decision import (
     DependenceMode,
     OffsetBounds,
@@ -56,6 +56,11 @@ class TestNeutrosophify:
         with pytest.raises(UsageError):
             neutrosophify({"a": 1.0, "b": 2.0}, {"a": Verdict.ACCEPT})
 
+    def test_grand_total_sums_left_to_right(self):
+        # builtin sum compensates float sums from Python 3.12 on, which would give 0.5 here
+        part = neutrosophify({"cold": 0.1, "medium": 0.2, "hot": 0.3}, TEMPERATURE_GROUPS)
+        assert part.reject_fraction.v == 0.3 / (0.1 + 0.2 + 0.3) == 0.4999999999999999
+
     @given(
         st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
         st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
@@ -77,6 +82,22 @@ class TestPartition3Modes:
     def test_sum_to_one_enforced(self):
         with pytest.raises(UsageError):
             Partition3(0.5, 0.2, 0.2)
+
+    @pytest.mark.parametrize("fractions", [
+        (0.5000000005, 0.0, 0.5000000005),
+        (0.5, 0.0, 0.5000000010000001),
+        (0.4999999995, 0.0, 0.5),
+        (0.3, 0.3, 0.3),
+    ])
+    def test_sum_to_one_reads_as_in_pair_from_triplet(self, fractions):
+        def accepts(build) -> bool:
+            try:
+                build(*fractions)
+            except UsageError:
+                return False
+            return True
+
+        assert accepts(Partition3) == accepts(lambda *v: Pair.from_triplet(Triplet(*v)))
 
     def test_free_mode_allows_independent_fractions(self):
         part = Partition3(0.9, 0.8, 0.7, dependence=DependenceMode.FREE)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from neutroset.core import (
@@ -187,6 +187,28 @@ class TestHesitancy:
         assert 0.0 <= v <= 1.0
 
 
+class TestOneLeftover:
+    """A valid pair's hesitancy and the middle slot of its NS image are one number, bit for bit."""
+
+    @given(units, units)
+    @example(0.763774618976614, 0.060253777792558735)
+    def test_ifs_middle_slot_is_the_hesitancy(self, t, f):
+        assume(validate(Pair(t, f), IFS).valid)
+        assert hesitancy(Pair(t, f), IFS).v == embed_into_ns(Pair(t, f), IFS).i
+
+    @given(units, units)
+    def test_pyfs_middle_slot_is_the_squared_hesitancy(self, t, f):
+        assume(validate(Pair(t, f), PYFS).valid)
+        assert hesitancy(Pair(t, f), PYFS).v == math.sqrt(embed_into_ns(Pair(t, f), PYFS).i)
+
+    # q = 2 is PyFS's square root, checked above
+    @given(units, units, st.floats(min_value=1.0, max_value=8.0).filter(lambda q: q != 2))
+    def test_qrofs_middle_slot_is_the_powered_hesitancy(self, t, f, q):
+        fam = FamilySpec(FamilyKind.QROFS, q)
+        assume(validate(Pair(t, f), fam).valid)
+        assert hesitancy(Pair(t, f), fam).v == math.pow(embed_into_ns(Pair(t, f), fam).i, 1.0 / q)
+
+
 class TestRefusal:
     def test_iifs_transformed_set_values(self):
         # unrounded counterparts of the printed 0.11 / 0.46 refusals
@@ -324,6 +346,11 @@ class TestCubeRegion:
 
     def test_extended_components_above_one(self):
         assert classify_cube_region((1.2, 0.5, 0.5)) is CubeRegion.PARACONSISTENT
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_component_raises(self, value):
+        with pytest.raises(ComponentRangeError):
+            classify_cube_region((value, 0, 0))
 
 
 class TestNhsfsMonotonicity:

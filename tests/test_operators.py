@@ -18,7 +18,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
-    clamp_at_zero,
+    leftover,
     scalar_of,
     sup_of,
 )
@@ -31,6 +31,7 @@ from neutroset.families import (
     admits_triplet,
     classify_cube_region,
     embed_into_ns,
+    hesitancy,
     includes,
     validate,
 )
@@ -184,6 +185,21 @@ class TestOperandValidation:
 
     def test_ns_accepts_any_cube_point(self):
         negate(Triplet(1.0, 1.0, 1.0), NS)
+
+
+#: A valid IFS pair whose middle slot, written as 1 - t - f, misses its hesitancy in the last digit.
+SKEWED_IFS = embed_into_ns(Pair(0.763774618976614, 0.060253777792558735), FamilySpec(FamilyKind.IFS))
+
+
+class TestIfsMiddleSlotIsTheHesitancy:
+    @settings(max_examples=300)
+    @given(operand_triplets, operand_triplets,
+           st.sampled_from([IFS, OperatorSystem(SystemKind.IFS, PRODUCT_NORMS)]))
+    @example(SKEWED_IFS, SKEWED_IFS, IFS)
+    def test_conjunct_and_disjunct_leave_the_hesitancy(self, a, b, sys):
+        assume(operand_rule(a, SystemKind.IFS) and operand_rule(b, SystemKind.IFS))
+        for r in (conjunct(a, b, sys), disjunct(a, b, sys)):
+            assert r.i == hesitancy(Pair.from_triplet(r), FamilySpec(FamilyKind.IFS)).v
 
 
 #: Every family whose elements can be triplets, IFS through its sum-1 triplets.
@@ -651,7 +667,7 @@ def sup_one_by_one(s: LabeledSet) -> tuple:
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
     out = [tuple(divide(c, denom) for c in row) for row in s.rows]
-    refusals = [UnitValue(clamp_at_zero(1 - left_to_right(map(sup_of, row)))) for row in out]
+    refusals = [UnitValue(leftover(left_to_right(map(sup_of, row)))) for row in out]
     return rows_one_by_one(s.universe, out, FamilySpec(FamilyKind.IIFS)), refusals, denom
 
 

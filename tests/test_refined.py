@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from neutroset.core import (
@@ -13,6 +13,9 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    inf_of,
+    leftover,
+    sup_of,
 )
 from neutroset.families import FamilyKind, FamilySpec, hesitancy, validate
 from neutroset.refined import (
@@ -247,6 +250,17 @@ class TestRefinedRefusal:
         # builtin sum compensates float sums from Python 3.12 on, which would give 0.19999999999999996 there
         comps = RefinedComponents(t=(IntervalValue(0.0, 0.1), 0.2), i=(0.3,), f=(0.1, 0.1, 0.1))
         assert refined_refusal(comps, RIIFS) == IntervalValue(0.09999999999999998, 0.20000000000000007)
+
+    @given(st.lists(st.one_of(units, st.tuples(units, units).map(sorted)), min_size=3, max_size=3))
+    @example([IntervalValue(0.6, 0.6), 0.2, 0.2000000005])  # valid within tolerance, so the infima sum past 1 too
+    def test_riifs_bounds_are_what_the_sums_leave(self, parts):
+        parts = [IntervalValue(*p) if isinstance(p, list) else p for p in parts]
+        comps = RefinedComponents(t=parts[:1], i=parts[1:2], f=parts[2:])
+        assume(validate_refined(comps, RIIFS).valid)
+        got = refined_refusal(comps, RIIFS)
+        t, i, f = parts
+        assert got.inf == leftover(0 + sup_of(t) + sup_of(i) + sup_of(f))
+        assert got.sup == leftover(0 + inf_of(t) + inf_of(i) + inf_of(f))
 
 
 class TestRefineCoarsen:
