@@ -19,7 +19,7 @@ from pathlib import Path
 # demos, decision, refined and indeterminacy are imported inside the command that runs
 # them, so that a call pays only for its own modules (see README, "Start-up")
 from neutroset import documents
-from neutroset.core import ABS_TOL, ComponentRangeError, NeutrosetError, UsageError
+from neutroset.core import ABS_TOL, NeutrosetError, UsageError
 from neutroset.families import (
     analytic_family_volume,
     classify_cube_region,
@@ -35,7 +35,7 @@ from neutroset.operators import (
     TNorm,
     setwise,
 )
-from neutroset.transforms import LabeledSet, normalize_elementwise, sup_transform
+from neutroset.transforms import normalize_elementwise, sup_transform
 
 
 #: The values of ``indeterminacy.AdjacencyKind``, spelled out so the parser does not load that module.
@@ -147,26 +147,16 @@ def _cmd_validate(args) -> int:
     return 0 if all_ok else 1
 
 
-def _load_set(path: str) -> LabeledSet:
-    """The set a checked document holds; an SNS or NHSNS component above 1, which no set holds, names its element."""
-    doc = documents.load(path)
-    try:
-        return doc.to_labeled_set()
-    except ComponentRangeError as exc:
-        name = doc.universe[documents._first_out_of_range(doc.components, 1)]
-        raise documents.DocumentError(f"element {name!r} cannot form a set: {exc}") from None
-
-
 def _cmd_op(args) -> int:
     sys_ = _system_from_args(args)
     op = Op(args.op)
-    set_a = _load_set(args.a)
+    set_a = documents.load(args.a).to_labeled_set()
     set_b = None
     digest_b = None
     if op is not Op.NOT:
         if not args.b:
             raise NeutrosetError(f"operator {op.value!r} needs a second operand file")
-        set_b = _load_set(args.b)
+        set_b = documents.load(args.b).to_labeled_set()
         digest_b = _digest(args.b)
     result = setwise(set_a, set_b, op, sys_)
     if args.out:
@@ -196,7 +186,7 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    labeled = _load_set(args.file)
+    labeled = documents.load(args.file).to_labeled_set()
     if args.method == "sup":
         res = sup_transform(labeled)
         result = res.labeled
@@ -229,8 +219,10 @@ def _cmd_demo(args) -> int:
     from neutroset import demos
 
     if args.list:
-        for name in demos.EXHIBITS:
-            print(name)
+        if args.format == "json":
+            _render({"command": "demo --list", "exhibits": list(demos.EXHIBITS)}, args.format, None)
+        else:
+            print("\n".join(demos.EXHIBITS))
         return 0
     if args.all or not args.names:
         names = list(demos.EXHIBITS)

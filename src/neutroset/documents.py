@@ -40,6 +40,14 @@ class ElementSetDocument:
     checked: bool = field(default=False, init=False, compare=False)
 
     def to_labeled_set(self) -> LabeledSet:
+        """The set of these elements; a component outside [0, 1], which no set holds, names its element."""
+        try:
+            return self._labeled_set()
+        except ComponentRangeError as exc:
+            name = self.universe[_first_out_of_range(self.components, 1)]
+            raise DocumentError(f"element {name!r} cannot form a set: {exc}") from None
+
+    def _labeled_set(self) -> LabeledSet:
         if self.family.arity == 3:
             rows = self.components
             # loads range-checked the rows to [0, 1] unless the family lets components exceed 1

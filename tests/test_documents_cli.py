@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import neutroset
 from neutroset import cli, documents
-from neutroset.core import ComponentRangeError, ConstraintError, UsageError
+from neutroset.core import ConstraintError, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
 
@@ -284,6 +284,13 @@ class TestCliDemo:
         assert cli.main(["demo", "--list"]) == 0
         assert "counterexample1" in capsys.readouterr().out
 
+    def test_list_as_json(self, capsys):
+        from neutroset import demos
+
+        assert cli.main(["--format", "json", "demo", "--list"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"command": "demo --list", "exhibits": list(demos.EXHIBITS)}
+
 
 class TestCliVolume:
     def test_volume_json(self, capsys):
@@ -425,7 +432,7 @@ class TestExactTypes:
         "kind,row,error,match",
         [
             ("IIFS", [0.5, 0.5, 0.5], UsageError, "not valid under IIFS"),
-            ("NS", [1.5, 0.5, 0.5], ComponentRangeError, "1.5"),
+            ("NS", [1.5, 0.5, 0.5], documents.DocumentError, "1.5"),
         ],
     )
     def test_unvalidated_triplet_documents_are_checked_when_they_form_a_set(self, kind, row, error, match):
@@ -435,6 +442,15 @@ class TestExactTypes:
         invalid = documents.loads(json.dumps({**doc, "elements": {"a": [0.1, 0.2, 0.3], "e": row}}), False)
         with pytest.raises(error, match=match):
             invalid.to_labeled_set()
+
+    @pytest.mark.parametrize("family", [{"kind": "SNS"}, {"kind": "NHSNS", "exponent": 2.0}])
+    def test_a_component_no_set_holds_names_its_element(self, family):
+        text = json.dumps({"format_version": 1, "family": family, "universe": ["b", "a"],
+                           "elements": {"b": [0.1, 0.2, 0.3], "a": [0.3, 1.2, 0.4]}})
+        doc = documents.loads(text)  # both families admit components above 1
+        with pytest.raises(documents.DocumentError) as caught:
+            doc.to_labeled_set()
+        assert str(caught.value) == "element 'a' cannot form a set: component value 1.2 outside permitted range"
 
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(
@@ -629,6 +645,14 @@ class TestMalformedCalls:
         capsys.readouterr()
         err = self._one_line_error([arg.format(doc=path) for arg in command], capsys)
         assert err == "document error: element 'a' cannot form a set: component value 1.2 outside permitted range\n"
+
+    def test_an_nhsns_component_no_set_holds_names_its_element(self, tmp_path, capsys):
+        doc = {"format_version": 1, "family": {"kind": "NHSNS", "exponent": 2.0}, "universe": ["a", "b"],
+               "elements": {"a": [0.5, 0.2, 0.1], "b": [0.1, 0.2, 1.3]}}
+        path = tmp_path / "nhsns-above-one.json"
+        path.write_text(json.dumps(doc))
+        err = self._one_line_error(["op", "--op", "or", str(path), str(path)], capsys)
+        assert err == "document error: element 'b' cannot form a set: component value 1.3 outside permitted range\n"
 
     def test_neutrosophify_size_not_a_number(self, capsys):
         argv = ["decide", "neutrosophify", "--sizes", "a=x", "--groups", "a=accept"]

@@ -649,6 +649,14 @@ def loads_one_by_one(text: str) -> documents.ElementSetDocument:
     return doc
 
 
+def named_range_error(doc: documents.ElementSetDocument, exc: Exception) -> Exception:
+    """What ``to_labeled_set`` raises for ``exc``: a range error names the first element with a component outside [0, 1]."""
+    if not isinstance(exc, ComponentRangeError):
+        return exc
+    name = next(n for n, row in zip(doc.universe, doc.components) if not all(0 <= v <= 1 for v in row))
+    return documents.DocumentError(f"element {name!r} cannot form a set: {exc}")
+
+
 def set_rows_one_by_one(doc: documents.ElementSetDocument, checked: bool) -> list:
     """``to_labeled_set``'s rows, each pair widened by ``embed_into_ns``."""
     if doc.family.arity == 3:
@@ -759,7 +767,7 @@ class TestOnePassAgreesWithOneByOne:
         if not same_outcome(got, want, lambda doc: typed_rows(doc.components)):
             return
         s = outcome(got.to_labeled_set)
-        want_rows = outcome(lambda: set_rows_one_by_one(want, validate_elements))
+        want_rows = named_range_error(want, outcome(lambda: set_rows_one_by_one(want, validate_elements)))
         if same_outcome(s if isinstance(s, Exception) else s.rows, want_rows):
             self.check_transforms(s)
 
@@ -832,7 +840,7 @@ class TestTrustIsOnlyAShortCut:
             rows = doc.components
         else:
             rows = [embed_into_ns(row, family).components() for row in doc.components]
-        want = outcome(lambda: LabeledSet._of_rows(doc.universe, rows, family))
+        want = named_range_error(doc, outcome(lambda: LabeledSet._of_rows(doc.universe, rows, family)))
         got = outcome(doc.to_labeled_set)
         if isinstance(want, Exception) or isinstance(got, Exception):
             assert (type(got), str(got)) == (type(want), str(want))

@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import neutroset.families as families
 from neutroset import _kernels
-from neutroset.core import UsageError
+from neutroset.core import ABS_TOL, UsageError
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
@@ -191,3 +194,67 @@ class TestKernelBackends:
         want = sum(1 for x, y, z in block.tolist() if x * x + y * y + z * z <= 1 + 1e-9)
         assert oracle_count(block, 2.0, 1.0, 1e-9, 3) == want
         assert _kernels.count_satisfying(block, 2.0, 1.0, 1e-9, 3) == want
+
+
+SPLIT_FAMILIES = (
+    FamilySpec(FamilyKind.IIFS),
+    SFS,
+    FamilySpec(FamilyKind.QROFS, 1.7),
+    FamilySpec(FamilyKind.NHSFS, 3.5),
+)
+
+
+class TestChunkedCounting:
+    """The sample range split into per-CPU chunks counts what one serial stream counts."""
+
+    @pytest.mark.parametrize("samples", [40_000, 40_001, 40_003, 65_537, 131_075])
+    @pytest.mark.parametrize("spec", SPLIT_FAMILIES, ids=lambda s: s.describe())
+    def test_any_worker_count_gives_the_serial_hits(self, spec, samples):
+        block = np.random.Generator(np.random.Philox(2019)).random((samples, spec.arity))
+        serial = _kernels.count_satisfying(block, float(spec.effective_exponent), float(spec.bound),
+                                           ABS_TOL, spec._row.columns)
+        for workers in (1, 2, 3, 4):
+            assert families._chunked_hits(spec, samples, 2019, workers) == serial, workers
+
+    def test_one_chunk_per_cpu_and_never_more_than_blocks(self, monkeypatch):
+        chosen = []
+        monkeypatch.setattr(families, "_chunked_hits", lambda spec, n, seed, workers: chosen.append(workers) or 0)
+        cpus = len(os.sched_getaffinity(0))
+        for n in (20_000, 2 * families._SAMPLE_BLOCK, 10 * families._SAMPLE_BLOCK):
+            estimate_family_volume(SFS, n, seed=1)
+        assert chosen == [1, min(cpus, 2), min(cpus, 10)]
+
+    def test_a_failing_chunk_raises_and_stops_the_others(self, monkeypatch):
+        count = _kernels.count_satisfying
+        running = set(threading.enumerate())
+        main_blocks = []
+
+        def fail_in_workers(block, *args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("chunk 1")
+            for t in set(threading.enumerate()) - running:  # let the failing worker finish first
+                t.join(timeout=10)
+                assert not t.is_alive()
+            main_blocks.append(len(block))
+            return count(block, *args)
+
+        monkeypatch.setattr(_kernels, "count_satisfying", fail_in_workers)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="chunk 1"):
+            families._chunked_hits(SFS, 8 * families._SAMPLE_BLOCK, 7, 2)
+        assert threading.active_count() == before
+        assert main_blocks == [families._SAMPLE_BLOCK]  # chunk 0 stopped at its next block
+
+    def test_an_interrupt_in_the_calling_thread_joins_every_worker(self, monkeypatch):
+        count = _kernels.count_satisfying
+
+        def interrupt_the_caller(block, *args):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return count(block, *args)
+
+        monkeypatch.setattr(_kernels, "count_satisfying", interrupt_the_caller)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            families._chunked_hits(SFS, 16 * families._SAMPLE_BLOCK, 7, 4)
+        assert threading.active_count() == before
