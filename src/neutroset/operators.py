@@ -131,64 +131,70 @@ def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
     """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I."""
-    return Triplet(*_negate(_require_valid(a.components(), sys), sys))
+    return Triplet(*_negate((_require_valid(a.components(), sys),), sys)[0])
 
 
 def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Intersection under the system's convention for the middle component."""
-    return Triplet(*_conjunct(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
+    return Triplet(*_conjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
 
 
 def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Union; both inconsistent-intuitionistic conventions meet the middle slot here."""
-    return Triplet(*_disjunct(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
+    return Triplet(*_disjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
 
 
 def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Implication as (not a) or b."""
-    return Triplet(*_implicate(_require_valid(a.components(), sys), _require_valid(b.components(), sys), sys))
+    return Triplet(*_implicate((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
 
 
-# The bodies below take the scalars of operands already checked for the system and
-# return the result's components; callers range-check them (Triplet, or LabeledSet._of_rows).
+# The bodies below take sequences of the scalars of operands already checked for the system, pick the
+# system once, and return the list of the results' components; callers range-check them (Triplet, or
+# LabeledSet._of_rows). ``zip`` pulls a row of ``a`` and then a row of ``b``, so operands that are checked
+# as they are read are checked in the order a0, b0, a1, b1, ...
 
 
-def _negate(a: tuple, sys: OperatorSystem) -> tuple:
-    t, i, f = a
+def _negate(a_rows: Iterable[tuple], sys: OperatorSystem) -> list:
     if sys.system is SystemKind.NS:
-        return (f, 1 - i, t)
-    return (f, i, t)
+        return [(f, 1 - i, t) for t, i, f in a_rows]
+    return [(f, i, t) for t, i, f in a_rows]
 
 
-def _conjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
-    ta, ia, fa = a
-    tb, ib, fb = b
+def _conjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSystem) -> list:
     kind, meet, join, overflow = sys._resolved
-    t = meet(ta, tb)
-    f = join(fa, fb)
+    pairs = zip(a_rows, b_rows)
     if kind is SystemKind.NS:
-        return (t, join(ia, ib), f)
+        return [(meet(ta, tb), join(ia, ib), join(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
     if kind is SystemKind.IFS:
-        return (t, leftover(0 + t + f), f)
+        return [(t, leftover(0 + t + f), f)
+                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(meet(ta, tb), join(fa, fb))]]
     if kind is SystemKind.IIFS_MIN_I:
-        return (t, meet(ia, ib), f)
-    return _restore_sum_bound(t, meet(ia, ib), join(ia, ib), f, overflow)
+        return [(meet(ta, tb), meet(ia, ib), join(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
+    return [_restore_sum_bound(meet(ta, tb), meet(ia, ib), join(ia, ib), join(fa, fb), overflow)
+            for (ta, ia, fa), (tb, ib, fb) in pairs]
 
 
-def _disjunct(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
-    ta, ia, fa = a
-    tb, ib, fb = b
+def _disjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSystem) -> list:
     kind, meet, join, _ = sys._resolved
-    t = join(ta, tb)
-    f = meet(fa, fb)
+    pairs = zip(a_rows, b_rows)
     if kind is SystemKind.IFS:
-        return (t, leftover(0 + t + f), f)
-    return (t, meet(ia, ib), f)
+        return [(t, leftover(0 + t + f), f)
+                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(join(ta, tb), meet(fa, fb))]]
+    return [(join(ta, tb), meet(ia, ib), meet(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
 
 
-def _implicate(a: tuple, b: tuple, sys: OperatorSystem) -> tuple:
-    # negation keeps an operand in its family (T and F swap, NS maps I to 1 - I), so not-a needs no check
-    return _disjunct(_negate(a, sys), b, sys)
+def _implicate(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSystem) -> list:
+    # (not a) or b, with not-a = (fa, ia, ta), or (fa, 1 - ia, ta) under NS, written into the disjunction so
+    # that each row of a is negated as zip pulls it; negation keeps an operand in its family, so not-a needs no check
+    kind, meet, join, _ = sys._resolved
+    pairs = zip(a_rows, b_rows)
+    if kind is SystemKind.IFS:
+        return [(t, leftover(0 + t + f), f)
+                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(join(fa, tb), meet(ta, fb))]]
+    if kind is SystemKind.NS:
+        return [(join(fa, tb), meet(1 - ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
+    return [(join(fa, tb), meet(ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
 
 
 def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> tuple:
@@ -224,9 +230,8 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
     the system's family unless their set's family lies inside it; the
     result is tagged with the system's family and checked under it.
     """
-    # a generator: each result is range-checked as it is made, before the next operands are read
     if op is Op.NOT:
-        out = (_negate(x, sys) for x in _operands(a_set, sys))
+        out = _negate(_operands(a_set, sys), sys)
     else:
         if b_set is None:
             raise UsageError(f"operator {op.value!r} needs two operand sets")
@@ -234,8 +239,7 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
             raise UsageError(
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
-        fn = _BINARY[op]
-        out = (fn(x, y, sys) for x, y in zip(_operands(a_set, sys), _operands(b_set, sys)))
+        out = _BINARY[op](_operands(a_set, sys), _operands(b_set, sys), sys)
     return LabeledSet._of_rows(a_set.universe, out, system_family(sys))
 
 

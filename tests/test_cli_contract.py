@@ -282,3 +282,119 @@ class TestCliContract:
         assert_contract(code, err)
         assert (code, out) == (2, "")
         assert err.startswith(f"document error: element {name!r} invalid: component"), err
+
+
+# Well-formed calls only: valid documents, and flags and values each command accepts. Every such call
+# exits 0 or 1 and, under --format json, prints one strict JSON document.
+
+COMMANDS = ["validate", "op", "transform", "decide", "volume"]
+#: Exponents for the families that take one, as ``--exponent`` gives them.
+EXPONENTS = {"QROFS": ["2", "3"], "NHSFS": ["2", "2.5"], "NHSNS": ["1.5", "2"]}
+#: Families a document of each family in ``BASES`` may be validated under instead of its own: pairs stay
+#: pairs, and components above 1 fit only the SNS caps.
+PAIRS, ABOVE_1 = ["IFS", "FS", "PyFS", "QROFS"], ["SNS", "NHSNS"]
+TRIPLETS = ["NS", "IIFS", "SFS", "NHSFS", *ABOVE_1]
+OVERRIDES = {family: PAIRS if family in PAIRS else ABOVE_1 if family in ABOVE_1 else TRIPLETS for family in BASES}
+#: Operand families, and the systems each one's sets are operands of (those whose family includes it).
+SYSTEMS = {"IFS": ["IFS", "IIFS-max", "IIFS-min", "NS"], "IIFS": ["IIFS-max", "IIFS-min", "NS"], "NS": ["NS"]}
+ARITIES = ["1,1,2", "1,2,1", "2,1,1", "2,2,2", "3,1,3"]
+
+eighths = st.integers(0, 8)
+scores = st.lists(st.sampled_from(["0", "0.1", "0.25", "0.5", "0.55", "0.9", "1"]), min_size=1, max_size=5).map(
+    ",".join)
+
+
+@st.composite
+def operand_document(draw, family: str, n: int) -> dict:
+    """A valid ``family`` (NS, IIFS or IFS) document of ``n`` elements, each with a nonzero component sum."""
+    elements = {}
+    for k in range(n):
+        weights = draw(st.permutations([draw(st.integers(1, 8)), draw(eighths), draw(eighths)]))
+        if family == "NS":
+            row = [w / 8 for w in weights]
+        else:
+            total = sum(weights) + (draw(eighths) if family == "IIFS" else 0)
+            row = [w / total for w in weights]
+        elements[f"e{k}"] = [row[0], row[2]] if family == "IFS" else row
+    return {"format_version": 1, "family": {"kind": family}, "universe": list(elements), "elements": elements}
+
+
+def family_flags(draw, families: list) -> list:
+    family = draw(st.sampled_from(families))
+    exponent = ["--exponent", draw(st.sampled_from(EXPONENTS[family]))] if family in EXPONENTS else []
+    return ["--family", family, *exponent]
+
+
+@st.composite
+def well_formed_calls(draw, root: Path) -> list:
+    """One ``validate``, ``op``, ``transform``, ``decide`` or ``volume`` call the command accepts."""
+    n = draw(st.integers(1, 4))
+
+    def operand(name: str, family: str | None = None) -> str:
+        doc = draw(operand_document(family or draw(st.sampled_from(sorted(SYSTEMS))), n))
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    command = draw(st.sampled_from(COMMANDS))
+    if command == "validate":
+        family = draw(st.sampled_from(sorted(BASES)))
+        if family in SYSTEMS and draw(st.booleans()):
+            path = operand("a", family)
+        else:
+            path = root / "a.json"
+            path.write_text(json.dumps(base_document(family)))
+        argv = ["validate", str(path), *(family_flags(draw, OVERRIDES[family]) if draw(st.booleans()) else [])]
+    elif command == "op":
+        op = draw(st.sampled_from(["and", "or", "implies", "not"]))
+        a_family, b_family = draw(st.sampled_from(sorted(SYSTEMS))), draw(st.sampled_from(sorted(SYSTEMS)))
+        operands = [operand("a", a_family)] + ([operand("b", b_family)] if op != "not" else [])
+        systems = SYSTEMS[a_family] if op == "not" else [s for s in SYSTEMS[a_family] if s in SYSTEMS[b_family]]
+        argv = ["op", "--op", op, *operands, "--system", draw(st.sampled_from(systems)),
+                # a dual pair: the IFS system's results leave T + F <= 1 only under those
+                *draw(st.sampled_from([["--tnorm", "min", "--tconorm", "max"],
+                                       ["--tnorm", "product", "--tconorm", "probsum"]])),
+                "--overflow", draw(st.sampled_from(["output", "printed"]))]
+    elif command == "transform":
+        argv = ["transform", operand("a"), "--method", draw(st.sampled_from(["sup", "normalize"]))]
+    elif command == "volume":
+        argv = ["volume", *family_flags(draw, sorted(BASES)),
+                "--samples", str(draw(st.integers(1, 3000))), "--seed", str(draw(st.integers(0, 99)))]
+    else:
+        mode = draw(st.sampled_from(["three-ways", "n-ways", "neutrosophify", "offset"]))
+        argv = ["decide", mode]
+        if mode == "three-ways":
+            alpha, beta = draw(st.sampled_from([("0.7", "0.3"), ("0.5", "0.4"), ("1", "0")]))
+            argv += ["--scores", draw(scores), "--alpha", alpha, "--beta", beta]
+        elif mode == "n-ways":
+            arities = draw(st.sampled_from(ARITIES))
+            bands = sum(map(int, arities.split(",")))
+            cuts = ",".join(f"{k / bands:.4f}" for k in range(1, bands))
+            argv += ["--scores", draw(scores), "--cuts", cuts, "--arities", arities]
+        elif mode == "neutrosophify":
+            sizes = [draw(st.integers(1, 8))] + draw(st.lists(eighths, max_size=2))
+            groups = [draw(st.sampled_from(["accept", "neutral", "reject"])) for _ in sizes]
+            argv += ["--sizes", ",".join(f"l{k}={v}" for k, v in enumerate(sizes)),
+                     "--groups", ",".join(f"l{k}={g}" for k, g in enumerate(groups))]
+        else:
+            argv += ["--amounts", draw(st.sampled_from(["0.5,1.2,-0.1", "0.3", "0,0.5,1"])),
+                     "--norm", draw(st.sampled_from(["1", "2.5"])),
+                     "--under", draw(st.sampled_from(["0", "-0.5"])), "--over", draw(st.sampled_from(["1", "1.5"]))]
+    if command in ("op", "transform") and draw(st.booleans()):
+        argv += ["--out", str(root / "out.json")]
+    extra = draw(st.sampled_from([[], ["--round", "3"], ["--tolerance", "0.01"]]))
+    # the global flags go before the command or after it
+    return ["--format", "json", *extra, *argv] if draw(st.booleans()) else [*argv, "--format", "json", *extra]
+
+
+class TestWellFormedCalls:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_well_formed_call_exits_0_or_1_and_prints_one_json_document(self, data):
+        with tempfile.TemporaryDirectory() as folder:
+            argv = data.draw(well_formed_calls(Path(folder)), label="argv")
+            code, out, err = run(argv)
+        event(f"{next(arg for arg in argv if arg in COMMANDS)}, exit {code}")
+        assert_contract(code, err)
+        assert code in (0, 1), err
+        json.loads(out, parse_constant=reject_constant)

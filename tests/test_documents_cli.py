@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -836,8 +837,11 @@ class TestStartup:
             ["transform", a, "--method", "sup"],
             ["transform", a, "--method", "normalize"],
         ]
-        # the package is found from its own location, not from the caller's environment
+        # the package is found from its own location, not from the caller's environment; a caller that
+        # keeps bytecode out of the tree keeps it out of the child too
         env = {"PYTHONPATH": str(Path(neutroset.__file__).parents[1])}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         argv = [sys.executable, "-c", STARTUP_PROBE, json.dumps(before_volume), json.dumps(self.VOLUME)]
         child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         report = json.loads(child.stdout)

@@ -476,6 +476,16 @@ class TestSetwise:
         with pytest.raises(ConstraintError, match=r"^IFS operand components sum to 1\.6, outside IFS$"):
             setwise(self.A, self.B, Op.OR, IFS)
 
+    @pytest.mark.parametrize("op", [Op.AND, Op.OR, Op.IMPLIES])
+    def test_operands_are_checked_a_then_b_element_by_element(self, op):
+        # a's first element is a valid IFS operand and its second is not; b's first is not either.
+        # Operands are read a0, b0, a1, b1, ..., so b0 fails first
+        ns = FamilySpec(FamilyKind.NS)
+        a = LabeledSet.from_mapping({"x1": (0, 0, 1), "x2": (0, 0, 0.5)}, ns)
+        b = LabeledSet.from_mapping({"x1": (0, 0, 0), "x2": (0, 0, 0)}, ns)
+        with pytest.raises(ConstraintError, match=r"^IFS operand components sum to 0\.0, outside IFS$"):
+            setwise(a, b, op, IFS)
+
 
 #: One component of every type an operand may carry: floats (-0.0 among them), ints and Fractions.
 mixed_components = st.one_of(
