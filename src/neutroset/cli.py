@@ -10,39 +10,37 @@ check failed, 2 a usage or document error, 3 an internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# demos, decision, refined and indeterminacy are imported inside the command that runs
-# them, so that a call pays only for its own modules (see README, "Start-up")
-from neutroset import documents
-from neutroset.core import ABS_TOL, NeutrosetError, UsageError
-from neutroset.families import (
-    analytic_family_volume,
-    classify_cube_region,
-    estimate_family_volume,
-)
-from neutroset.operators import (
-    NormPair,
-    Op,
-    OperatorSystem,
-    OverflowRule,
-    SystemKind,
-    TConorm,
-    TNorm,
-    setwise,
-)
-from neutroset.transforms import normalize_elementwise, sup_transform
+# every other module of the package is imported inside the command that runs it,
+# so that a call pays only for its own modules (see README, "Start-up")
+from neutroset.core import ABS_TOL, DocumentError, NeutrosetError, UsageError
 
+if TYPE_CHECKING:
+    from neutroset.families import FamilySpec
+    from neutroset.operators import OperatorSystem
 
-#: The values of ``indeterminacy.AdjacencyKind``, spelled out so the parser does not load that module.
+# Parser choices spelled out, so that building the parser loads no module beyond core;
+# a test keeps each equal to the values of its enum.
+#: The values of ``operators.Op``.
+OPS = ("and", "or", "implies", "not")
+#: The values of ``operators.TNorm``.
+TNORMS = ("min", "product")
+#: The values of ``operators.TConorm``.
+TCONORMS = ("max", "probsum")
+#: The values of ``operators.OverflowRule``.
+OVERFLOW_RULES = ("output", "printed")
+#: The values of ``indeterminacy.AdjacencyKind``.
 MATRIX_KINDS = ("graph", "cognitive-map")
 
 
 def _digest(path: str) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
@@ -97,13 +95,17 @@ def _floats(row) -> tuple:
 
 
 def _family_from_args(args) -> FamilySpec:
+    from neutroset.families import family_from_tag
+
     try:
-        return documents.family_from_tag(args.family, getattr(args, "exponent", None))
-    except documents.DocumentError as exc:
+        return family_from_tag(args.family, getattr(args, "exponent", None))
+    except DocumentError as exc:
         raise UsageError(str(exc)) from None  # a bad flag, not a bad document
 
 
 def _system_from_args(args) -> OperatorSystem:
+    from neutroset.operators import NormPair, OperatorSystem, OverflowRule, SystemKind, TConorm, TNorm
+
     kinds = {k.value.lower(): k for k in SystemKind}
     try:
         kind = kinds[args.system.lower()]
@@ -116,6 +118,9 @@ def _system_from_args(args) -> OperatorSystem:
 
 
 def _cmd_validate(args) -> int:
+    from neutroset import documents
+    from neutroset.families import classify_cube_region
+
     if args.exponent is not None and not args.family:
         raise UsageError("--exponent needs --family; a document's own family carries its exponent")
     doc = documents.load(args.file, validate_elements=False)
@@ -148,6 +153,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_op(args) -> int:
+    from neutroset import documents
+    from neutroset.operators import Op, setwise
+
     sys_ = _system_from_args(args)
     op = Op(args.op)
     set_a = documents.load(args.a).to_labeled_set()
@@ -186,6 +194,9 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from neutroset import documents
+    from neutroset.transforms import normalize_elementwise, sup_transform
+
     labeled = documents.load(args.file).to_labeled_set()
     if args.method == "sup":
         res = sup_transform(labeled)
@@ -265,6 +276,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from neutroset.families import analytic_family_volume, estimate_family_volume
+
     family = _family_from_args(args)
     est = estimate_family_volume(family, args.samples, args.seed)
     analytic = analytic_family_volume(family)
@@ -468,13 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "op",
         parents=[common], help="apply an operator elementwise across documents")
-    p.add_argument("--op", choices=[o.value for o in Op], required=True)
+    p.add_argument("--op", choices=OPS, required=True)
     p.add_argument("a", help="first operand document")
     p.add_argument("b", nargs="?", default=None, help="second operand document (binary ops)")
     p.add_argument("--system", default="NS", help="NS, IFS, IIFS-max, or IIFS-min")
-    p.add_argument("--tnorm", choices=[t.value for t in TNorm], default="min")
-    p.add_argument("--tconorm", choices=[t.value for t in TConorm], default="max")
-    p.add_argument("--overflow", choices=[r.value for r in OverflowRule], default="output")
+    p.add_argument("--tnorm", choices=TNORMS, default="min")
+    p.add_argument("--tconorm", choices=TCONORMS, default="max")
+    p.add_argument("--overflow", choices=OVERFLOW_RULES, default="output")
     p.add_argument("--out", default=None, help="write the result document here")
     p.set_defaults(fn=_cmd_op)
 
@@ -549,7 +562,7 @@ def main(argv=None) -> int:
         if args.round is not None and args.round < 0:
             raise UsageError(f"--round must be >= 0, got {args.round}")
         return args.fn(args)
-    except documents.DocumentError as exc:
+    except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return 2
     except NeutrosetError as exc:

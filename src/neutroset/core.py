@@ -51,6 +51,10 @@ class UndefinedOperationError(NeutrosetError, ArithmeticError):
     """Operation left undefined by the indeterminacy algebra."""
 
 
+class DocumentError(NeutrosetError, ValueError):
+    """Malformed or inconsistent element-set document."""
+
+
 def _check_real(x) -> Real:
     if isinstance(x, bool) or not isinstance(x, Real):
         raise UsageError(f"expected a real number, got {type(x).__name__}")
@@ -155,6 +159,11 @@ def leftover(total: Real) -> Real:
     return 1 - total if total < 1 else total - total
 
 
+def sums_to_one(total: Real, tol: float = ABS_TOL) -> bool:
+    """Whether a component sum is 1 within ``tol``: ``1 - tol <= total <= 1 + tol``."""
+    return 1 - tol <= total <= 1 + tol
+
+
 def scalar_of(x: Real | IntervalValue) -> Real:
     """The scalar value of a component; degenerate intervals collapse."""
     if isinstance(x, IntervalValue):
@@ -213,7 +222,7 @@ class Pair:
     def from_triplet(cls, triplet: Triplet, tol: float = ABS_TOL) -> "Pair":
         """Down-convert a triplet summing to 1 within ``tol``, dropping its derivable middle component."""
         s = triplet.component_sum()
-        if not 1 - tol <= s <= 1 + tol:
+        if not sums_to_one(s, tol):
             raise UsageError(f"triplet components sum to {s}, not 1; cannot drop the middle component")
         t, _, f = triplet.scalars()
         return cls(t, f)

@@ -13,7 +13,7 @@ from enum import Enum
 from numbers import Real
 from typing import Mapping, Sequence
 
-from neutroset.core import ABS_TOL, DegenerateInputError, UnitValue, UsageError
+from neutroset.core import DegenerateInputError, UnitValue, UsageError, sums_to_one
 
 
 class Verdict(Enum):
@@ -44,7 +44,7 @@ class Partition3:
                 object.__setattr__(self, name, UnitValue(getattr(self, name)))
         if self.dependence is DependenceMode.SUM_TO_ONE:
             s = self.accept_fraction.v + self.noncommit_fraction.v + self.reject_fraction.v
-            if not 1 - ABS_TOL <= s <= 1 + ABS_TOL:
+            if not sums_to_one(s):
                 raise UsageError(f"sum-to-one partition fractions sum to {float(s)!r}")
 
     def as_tuple(self) -> tuple[Real, Real, Real]:

@@ -14,19 +14,26 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from neutroset.core import ABS_TOL, ComponentRangeError, NeutrosetError, UsageError, leftover
-from neutroset.families import FamilyKind, FamilySpec, ValidationReport, _embedded_row, _first_outside, validate
-from neutroset.transforms import LabeledSet
+from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, leftover
+from neutroset.families import (
+    FamilyKind,
+    FamilySpec,
+    ValidationReport,
+    _embedded_row,
+    _first_outside,
+    family_from_tag,
+    validate,
+)
+
+if TYPE_CHECKING:
+    from neutroset.transforms import LabeledSet
 
 FORMAT_VERSION = 1
 
 #: The types json.loads gives numbers; bool, which it gives true and false, is not among them.
 _NUMBER_TYPES = frozenset({int, float})
-
-
-class DocumentError(NeutrosetError, ValueError):
-    """Malformed or inconsistent element-set document."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,8 @@ class ElementSetDocument:
             raise DocumentError(f"element {name!r} cannot form a set: {exc}") from None
 
     def _labeled_set(self) -> LabeledSet:
+        from neutroset.transforms import LabeledSet  # here, so that loading and validating a document skip it
+
         if self.family.arity == 3:
             rows = self.components
             # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
@@ -60,26 +69,6 @@ class ElementSetDocument:
             rows = [_embedded_row(row, self.family) for row in self.components]
             checked = False
         return LabeledSet._of_rows(self.universe, rows, self.family, checked)
-
-
-def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:
-    """Resolve a family tag string (case-insensitive, with common aliases)."""
-    aliases = {
-        "pfs": "IIFS",  # picture fuzzy set
-        "q-rofs": "QROFS",
-        "qrofs": "QROFS",
-        "pyfs": "PyFS",
-        "n-hsfs": "NHSFS",
-        "n-hsns": "NHSNS",
-    }
-    norm = aliases.get(kind_tag.strip().lower(), kind_tag.strip())
-    for kind in FamilyKind:
-        if kind.value.lower() == norm.lower():
-            try:
-                return FamilySpec(kind, exponent)
-            except UsageError as exc:
-                raise DocumentError(f"family {exc}") from None
-    raise DocumentError(f"unknown family tag {kind_tag!r}")
 
 
 def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:

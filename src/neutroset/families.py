@@ -23,6 +23,7 @@ from neutroset.core import (
     ABS_TOL,
     ComponentRangeError,
     ConstraintError,
+    DocumentError,
     IntervalValue,
     Pair,
     Triplet,
@@ -30,6 +31,7 @@ from neutroset.core import (
     UsageError,
     as_component,
     leftover,
+    sums_to_one,
     sup_of,
 )
 
@@ -160,6 +162,26 @@ class FamilySpec(_TableSpec):
         return self._row.cap(self.bound, self.effective_exponent)
 
 
+def family_from_tag(kind_tag: str, exponent=None) -> FamilySpec:
+    """Resolve a family tag string (case-insensitive, with common aliases)."""
+    aliases = {
+        "pfs": "IIFS",  # picture fuzzy set
+        "q-rofs": "QROFS",
+        "qrofs": "QROFS",
+        "pyfs": "PyFS",
+        "n-hsfs": "NHSFS",
+        "n-hsns": "NHSNS",
+    }
+    norm = aliases.get(kind_tag.strip().lower(), kind_tag.strip())
+    for kind in FamilyKind:
+        if kind.value.lower() == norm.lower():
+            try:
+                return FamilySpec(kind, exponent)
+            except UsageError as exc:
+                raise DocumentError(f"family {exc}") from None
+    raise DocumentError(f"unknown family tag {kind_tag!r}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking components against a family constraint."""
@@ -280,8 +302,8 @@ def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
     The rows hold the components' suprema, range-checked for ``family``,
     all of one length: ``family.arity``, or three under IFS, where a sum-1
     triplet stands in for a pair (triplets under another pair family
-    raise). A stand-in sums to 1 when 1 - tol <= sum <= 1 + tol, the upper
-    comparison being the pair test's own. Sums run left to right from 0, as in :func:`_powered_sum`.
+    raise). A stand-in must pass :func:`~neutroset.core.sums_to_one`, whose
+    upper comparison is the pair test's own. Sums run left to right from 0, as in :func:`_powered_sum`.
     """
     whole_cube, columns, exponent, bound = family._bound_test
     limit = bound + tol
@@ -289,7 +311,7 @@ def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
         for k, (t, i, f) in enumerate(rows):
-            if not 1 - tol <= 0 + t + i + f <= limit:
+            if not sums_to_one(0 + t + i + f, tol):
                 return k
     elif whole_cube and tol >= 0:
         return -1
@@ -418,13 +440,11 @@ def classify_cube_region(components, tol: float = ABS_TOL) -> CubeRegion:
     if isinstance(components, Triplet):
         components = components.components()
     s = _powered_sum(components, 1)
-    if not -math.inf < s < math.inf:  # NaN would fail both comparisons below and read as COMPLETE
+    if not -math.inf < s < math.inf:  # NaN would fail every comparison below and read as PARACONSISTENT
         raise ComponentRangeError(s, f"component sum {s!r} is not finite")
-    if s < 1 - tol:
-        return CubeRegion.INCOMPLETE
-    if s > 1 + tol:
-        return CubeRegion.PARACONSISTENT
-    return CubeRegion.COMPLETE
+    if sums_to_one(s, tol):
+        return CubeRegion.COMPLETE
+    return CubeRegion.INCOMPLETE if s < 1 - tol else CubeRegion.PARACONSISTENT
 
 
 @dataclass(frozen=True)

@@ -113,9 +113,17 @@ class OperatorSystem:
     overflow: OverflowRule = OverflowRule.OUTPUT
 
     def __post_init__(self):
+        # min with probsum is no dual pair: (0.5, 0.5) and (0.6, 0.4) conjoin to T + F = 1.2, outside every
+        # family but NS's, so the other systems' results would fail their own check
+        norms = self.norms
+        if self.system is not SystemKind.NS and norms.tnorm is TNorm.MIN and norms.tconorm is TConorm.PROB_SUM:
+            raise UsageError(
+                f"t-norm 'min' with t-conorm 'probsum' can take {self.system.value} results outside their "
+                "family; choose another pair"
+            )
         # resolved once per system: the operator bodies read it on every element
         object.__setattr__(
-            self, "_resolved", (self.system, _MEET[self.norms.tnorm], _JOIN[self.norms.tconorm], self.overflow)
+            self, "_resolved", (self.system, _MEET[norms.tnorm], _JOIN[norms.tconorm], self.overflow)
         )
 
 

@@ -17,6 +17,7 @@ from neutroset.core import (
     leftover,
     make_unit,
     scalar_of,
+    sums_to_one,
 )
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -160,6 +161,13 @@ class TestPair:
         assert Pair.from_triplet(Triplet(0.3, 0.6, 0.1)) == Pair(0.3, 0.1)
         with pytest.raises(UsageError):
             Pair.from_triplet(Triplet(0.3, 0.3, 0.1))
+
+
+class TestSumsToOne:
+    def test_both_ends_of_the_band_count(self):
+        assert sums_to_one(1 + 1e-9) and sums_to_one(1 - 1e-9) and sums_to_one(Fraction(1))
+        assert not sums_to_one(1 + 2e-9) and not sums_to_one(1 - 2e-9)
+        assert sums_to_one(1.01, tol=0.01) and not sums_to_one(Fraction(99, 100), tol=Fraction(1, 1000))
 
 
 class TestLeftover:

@@ -234,6 +234,21 @@ class TestCliOp:
         )
         assert cli.main(["op", "--op", "and", str(a), str(other)]) == 2
 
+    def test_min_with_probsum_is_refused_outside_ns(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, row in ((a, [0.5, 0.5]), (b, [0.6, 0.4])):
+            path.write_text(json.dumps({"format_version": 1, "family": {"kind": "IFS"}, "universe": ["x"],
+                                        "elements": {"x": row}}))
+        argv = ["--format", "json", "op", "--op", "and", str(a), str(b), "--tnorm", "min", "--tconorm", "probsum"]
+        for system in ("IFS", "IIFS-max", "IIFS-min"):
+            assert cli.main([*argv, "--system", system]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: t-norm 'min' with t-conorm 'probsum' can take {system} results "
+                                    "outside their family; choose another pair\n")
+        assert cli.main([*argv, "--system", "NS"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["result"] == [0.5, 0.0, 0.7]
+
 
 class TestCliTransform:
     def test_sup_transform(self, doc_paths, tmp_path, capsys):
@@ -821,6 +836,59 @@ report["volume_out"] = volume.getvalue()
 print(json.dumps(report))
 """
 
+#: Runs in a fresh interpreter: one command's exit code, the ``neutroset`` modules it loaded, and whether numpy loaded.
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+import neutroset.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "neutroset"), "numpy" in sys.modules]))
+"""
+
+#: Runs in a fresh interpreter: what ``import neutroset`` loads, and how its public names resolve.
+PACKAGE_PROBE = """
+import json, sys
+import neutroset
+
+loaded = sorted(m for m in sys.modules if m.startswith("neutroset."))
+listed = dir(neutroset)
+star = {}
+exec("from neutroset import *", star)
+print(json.dumps({
+    "loaded": loaded,
+    "not_in_dir": [n for n in neutroset.__all__ if n not in listed],
+    "not_starred": [n for n in neutroset.__all__ if star.get(n) is not getattr(neutroset, n)],
+    "triplet_is_core": neutroset.Triplet is sys.modules["neutroset.core"].Triplet,
+}))
+"""
+
+#: The modules each command loads besides ``neutroset``, ``neutroset.core`` and ``neutroset.cli``, and whether
+#: it loads numpy; ``{a}``, ``{b}`` and ``{grid}`` stand for input files.
+COMMAND_MODULES = {
+    "decide": (["decide", "three-ways", "--scores", "0.9,0.5,0.1", "--alpha", "0.7", "--beta", "0.3"],
+               {"decision"}, False),
+    "matrix": (["matrix", "{grid}"], {"indeterminacy"}, False),
+    "refined": (["refined", "--kind", "RPyFS", "--t", "0.3,0.2", "--f", "0.1"], {"families", "refined"}, False),
+    "volume-sampled": (["volume", "--family", "SFS", "--samples", "5000", "--seed", "3"],
+                       {"families", "_kernels"}, True),
+    "volume-whole-cube": (["volume", "--family", "NS", "--samples", "5000"], {"families"}, False),
+    "validate": (["validate", "{a}"], {"families", "documents"}, False),
+    "transform": (["transform", "{a}", "--method", "normalize"], {"families", "documents", "transforms"}, False),
+    "op": (["op", "--op", "implies", "{a}", "{b}"], {"families", "documents", "transforms", "operators"}, False),
+}
+
+
+def run_child(code: str, *args: str) -> object:
+    """The JSON that ``code`` prints when a fresh interpreter runs it with ``args``."""
+    # the package is found from its own location, not from the caller's environment; a caller that
+    # keeps bytecode out of the tree keeps it out of the child too
+    env = {"PYTHONPATH": str(Path(neutroset.__file__).parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
 
 class TestStartup:
     """Each subcommand imports only its own modules; numpy loads only when ``volume`` draws samples."""
@@ -837,16 +905,38 @@ class TestStartup:
             ["transform", a, "--method", "sup"],
             ["transform", a, "--method", "normalize"],
         ]
-        # the package is found from its own location, not from the caller's environment; a caller that
-        # keeps bytecode out of the tree keeps it out of the child too
-        env = {"PYTHONPATH": str(Path(neutroset.__file__).parents[1])}
-        if "PYTHONDONTWRITEBYTECODE" in os.environ:
-            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
-        argv = [sys.executable, "-c", STARTUP_PROBE, json.dumps(before_volume), json.dumps(self.VOLUME)]
-        child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        report = json.loads(child.stdout)
+        report = run_child(STARTUP_PROBE, json.dumps(before_volume), json.dumps(self.VOLUME))
         assert report["after_import"] == []
         assert report["before_volume"] == [[cmd[0], 0, False] for cmd in before_volume]
         assert report["volume_exit"] == 0 and report["numpy_after_volume"] is True
         assert cli.main(self.VOLUME) == 0
         assert report["volume_out"] == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_each_command_loads_its_own_modules(self, command, doc_paths, tmp_path):
+        argv, modules, numpy = COMMAND_MODULES[command]
+        grid = tmp_path / "g.txt"
+        grid.write_text("0 1\n1 I\n")
+        a, b = doc_paths
+        argv = [arg.format(a=a, b=b, grid=grid) for arg in argv]
+        want = {"neutroset", "neutroset.core", "neutroset.cli", *(f"neutroset.{m}" for m in modules)}
+        assert run_child(COMMAND_PROBE, json.dumps(argv)) == [0, sorted(want), numpy]
+
+    def test_demo_loads_what_demos_imports(self):
+        imports = "import json, sys, neutroset.cli, neutroset.demos; print(json.dumps(sorted(sys.modules)))"
+        want = sorted(m for m in run_child(imports) if m.partition(".")[0] == "neutroset")
+        assert run_child(COMMAND_PROBE, json.dumps(["demo", "--all"])) == [0, want, False]
+
+    def test_the_package_loads_each_name_when_first_read(self):
+        report = run_child(PACKAGE_PROBE)
+        assert report == {"loaded": [], "not_in_dir": [], "not_starred": [], "triplet_is_core": True}
+        assert sorted(neutroset._MODULE_OF) == sorted(neutroset.__all__)
+        assert not hasattr(neutroset, "no_such_name")  # so that ``from neutroset import documents`` imports the module
+
+    def test_parser_choices_are_the_enum_values(self):
+        from neutroset.operators import Op, OverflowRule, TConorm, TNorm
+
+        assert list(cli.OPS) == [e.value for e in Op]
+        assert list(cli.TNORMS) == [e.value for e in TNorm]
+        assert list(cli.TCONORMS) == [e.value for e in TConorm]
+        assert list(cli.OVERFLOW_RULES) == [e.value for e in OverflowRule]

@@ -347,6 +347,13 @@ class TestCubeRegion:
     def test_extended_components_above_one(self):
         assert classify_cube_region((1.2, 0.5, 0.5)) is CubeRegion.PARACONSISTENT
 
+    @given(triplets, st.floats(min_value=-0.5, max_value=0.5))
+    def test_regions_split_at_one_minus_and_one_plus_tol(self, trip, tol):
+        s = trip.component_sum()
+        want = (CubeRegion.INCOMPLETE if s < 1 - tol else CubeRegion.PARACONSISTENT if s > 1 + tol
+                else CubeRegion.COMPLETE)
+        assert classify_cube_region(trip, tol) is want
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_component_raises(self, value):
         with pytest.raises(ComponentRangeError):

@@ -396,6 +396,26 @@ class TestNormAxioms:
             assert norms.join(a, lo) <= norms.join(a, hi) + 1e-15
 
 
+class TestNormPairsThatDoNotClose:
+    """min with probsum can leave T + F above 1, so only NS, whose family is the whole cube, takes that pair."""
+
+    MIN_PROBSUM = NormPair(TNorm.MIN, TConorm.PROB_SUM)
+
+    @pytest.mark.parametrize("kind", [SystemKind.IFS, SystemKind.IIFS_MAX_I, SystemKind.IIFS_MIN_I])
+    def test_min_with_probsum_is_refused(self, kind):
+        with pytest.raises(UsageError, match=f"^t-norm 'min' with t-conorm 'probsum' can take {kind.value} results"):
+            OperatorSystem(kind, norms=self.MIN_PROBSUM)
+
+    def test_ns_and_the_other_pairs_are_accepted(self):
+        pairs = [NormPair(tnorm, tconorm) for tnorm in TNorm for tconorm in TConorm]
+        for kind in SystemKind:
+            for norms in pairs:
+                if kind is SystemKind.NS or norms != self.MIN_PROBSUM:
+                    assert OperatorSystem(kind, norms=norms).norms == norms
+        ns = OperatorSystem(SystemKind.NS, norms=self.MIN_PROBSUM)
+        assert conjunct(Triplet(0.5, 0.0, 0.5), Triplet(0.6, 0.0, 0.4), ns) == Triplet(0.5, 0.0, 0.7)
+
+
 #: Norm arguments whose ties differ in type or sign: min and max return the first of equals.
 tie_prone = st.one_of(units, st.sampled_from([0, 1, -0.0, 0.0]), unit_fractions)
 
