@@ -159,9 +159,24 @@ def leftover(total: Real) -> Real:
     return 1 - total if total < 1 else total - total
 
 
+def within(total: Real, bound: Real, tol: float = ABS_TOL) -> bool:
+    """Whether a component sum meets a bound within ``tol``: ``total <= bound + tol``.
+
+    For ``tol >= 0`` the exact ``bound`` is tried first, with the same
+    answer: rounding is monotone, so ``bound <= bound + tol`` in floats too
+    for a bound a float holds (every family bound does). So an int or
+    Fraction sum that meets its bound is never converted to meet the float
+    ``bound + tol``. NaN and a negative or NaN ``tol`` take the plain test.
+    """
+    return tol >= 0 and total <= bound or total <= bound + tol
+
+
 def sums_to_one(total: Real, tol: float = ABS_TOL) -> bool:
-    """Whether a component sum is 1 within ``tol``: ``1 - tol <= total <= 1 + tol``."""
-    return 1 - tol <= total <= 1 + tol
+    """Whether a component sum is 1 within ``tol``: ``1 - tol <= total <= 1 + tol``.
+
+    As in :func:`within`, an exact 1 is tried first when ``tol >= 0``.
+    """
+    return tol >= 0 and total == 1 or 1 - tol <= total <= 1 + tol
 
 
 def scalar_of(x: Real | IntervalValue) -> Real:

@@ -62,7 +62,7 @@ class ElementSetDocument:
             # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
             checked = self.checked and not self.family.kind.row.extended
         elif self.checked and self.family.kind is FamilyKind.IFS:
-            # loads found 0 + t + f <= 1 + tol: widen as embed_into_ns does, without checking again
+            # loads found t + f within 1 + tol: widen as embed_into_ns does, without checking again
             rows = [(t, leftover(0 + t + f), f) for t, f in self.components]
             checked = True
         else:

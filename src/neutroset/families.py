@@ -33,6 +33,7 @@ from neutroset.core import (
     leftover,
     sums_to_one,
     sup_of,
+    within,
 )
 
 
@@ -259,7 +260,8 @@ def _powered_sum(parts, exponent: Real) -> Real:
 def _report(parts, exponent: Real, bound: Real, tol: float, label: str) -> ValidationReport:
     value = _powered_sum(parts, exponent)
     detail = f"{label}: constraint value {float(value):.6g} vs bound {bound}"
-    return ValidationReport(valid=bool(value <= bound + tol), constraint_value=value, bound=bound, diagnostics=detail)
+    valid = bool(within(value, bound, tol))
+    return ValidationReport(valid=valid, constraint_value=value, bound=bound, diagnostics=detail)
 
 
 def validate(components, family: FamilySpec, tol: float = ABS_TOL) -> ValidationReport:
@@ -303,29 +305,37 @@ def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
     all of one length: ``family.arity``, or three under IFS, where a sum-1
     triplet stands in for a pair (triplets under another pair family
     raise). A stand-in must pass :func:`~neutroset.core.sums_to_one`, whose
-    upper comparison is the pair test's own. Sums run left to right from 0, as in :func:`_powered_sum`.
+    upper comparison is the pair test's own. Every other row passes
+    :func:`~neutroset.core.within`, written out in the loops: ``first`` is
+    the exact bound where ``within`` tries it, else ``bound + tol`` again.
+    The plain sums run left to right from the first component: they only
+    meet comparisons, and equal :func:`_powered_sum`'s from 0 in value.
     """
     whole_cube, columns, exponent, bound = family._bound_test
     limit = bound + tol
+    first = bound if tol >= 0 else limit
     if family._row.arity == 2 and rows and len(rows[0]) == 3:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
         for k, (t, i, f) in enumerate(rows):
-            if not sums_to_one(0 + t + i + f, tol):
+            if not sums_to_one(t + i + f, tol):
                 return k
     elif whole_cube and tol >= 0:
         return -1
     elif exponent == 1 and columns == 3:
         for k, (t, i, f) in enumerate(rows):
-            if not 0 + t + i + f <= limit:
+            s = t + i + f
+            if not (s <= first or s <= limit):
                 return k
     elif exponent == 1 and columns == 2:
         for k, (t, f) in enumerate(rows):
-            if not 0 + t + f <= limit:
+            s = t + f
+            if not (s <= first or s <= limit):
                 return k
     else:
         for k, row in enumerate(rows):
-            if not _powered_sum(row[:columns], exponent) <= limit:
+            s = _powered_sum(row[:columns], exponent)
+            if not (s <= first or s <= limit):
                 return k
     return -1
 

@@ -22,7 +22,7 @@ from enum import Enum
 from numbers import Real
 from typing import Iterable
 
-from neutroset.core import ABS_TOL, ConstraintError, Triplet, UsageError, leftover
+from neutroset.core import ConstraintError, Triplet, UsageError, leftover, within
 from neutroset.families import FamilyKind, FamilySpec, _powered_sum, admits_triplet, includes
 from neutroset.transforms import LabeledSet, _scalars
 
@@ -89,6 +89,9 @@ _OPERAND_FAMILY = {
     SystemKind.IIFS_MAX_I: FamilySpec(FamilyKind.IIFS),
     SystemKind.IIFS_MIN_I: FamilySpec(FamilyKind.IIFS),
 }
+
+#: The sum bound IIFS_MAX_I's conjunction restores.
+_IIFS_BOUND = _OPERAND_FAMILY[SystemKind.IIFS_MAX_I].bound
 
 
 class OverflowRule(Enum):
@@ -207,7 +210,7 @@ def _implicate(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSy
 
 def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> tuple:
     joined_sum = t + i_joined + f
-    if joined_sum <= 1 + ABS_TOL:
+    if within(joined_sum, _IIFS_BOUND):
         return (t, i_joined, f)
     if rule is OverflowRule.OUTPUT:
         return (t / joined_sum, i_joined / joined_sum, f / joined_sum)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from neutroset.core import (
+    ABS_TOL,
     ComponentRangeError,
     IntervalValue,
     Pair,
@@ -18,7 +19,10 @@ from neutroset.core import (
     make_unit,
     scalar_of,
     sums_to_one,
+    within,
 )
+from neutroset.families import FAMILY_TABLE
+from neutroset.refined import RefinedKind
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -168,6 +172,59 @@ class TestSumsToOne:
         assert sums_to_one(1 + 1e-9) and sums_to_one(1 - 1e-9) and sums_to_one(Fraction(1))
         assert not sums_to_one(1 + 2e-9) and not sums_to_one(1 - 2e-9)
         assert sums_to_one(1.01, tol=0.01) and not sums_to_one(Fraction(99, 100), tol=Fraction(1, 1000))
+
+
+#: Every family bound, and every refined bound for arity sums up to 12.
+BOUNDS = sorted(
+    {row.bound(row.arity) for row in FAMILY_TABLE.values()}
+    | {kind.row.bound(n) for kind in RefinedKind for n in range(1, 13)}
+)
+#: Tolerances of every kind ``within`` and ``sums_to_one`` may meet.
+TOLS = (
+    st.sampled_from([0, 0.0, -0.0, ABS_TOL, -ABS_TOL, 0.01, Fraction(1, 10**9), Fraction(ABS_TOL), Fraction(-1, 10**9),
+                     math.nan, math.inf, -math.inf])
+    | st.floats(-1e-6, 1e-6)
+    | st.fractions(-1, 1, max_denominator=10**12)
+)
+#: Offsets from a bound, as ints, Fractions and floats, on and around the tolerance band's edges.
+OFFSETS = st.sampled_from([0, 1, -1, 0.0, -0.0, ABS_TOL, -ABS_TOL, 2 * ABS_TOL, -2 * ABS_TOL, ABS_TOL / 2, 1e-17,
+                           -1e-17, Fraction(ABS_TOL), -Fraction(ABS_TOL), Fraction(1, 10**9), Fraction(1, 10**10)])
+#: Sums with no bound in mind: signed zeros, NaN, infinities and values of every numeric type.
+SPECIAL_SUMS = (
+    st.sampled_from([0, -0.0, 0.0, math.nan, math.inf, -math.inf])
+    | st.integers(-3, 40)
+    | st.fractions(-1, 40, max_denominator=10**12)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def sums_near(draw, bound):
+    """A sum: one of SPECIAL_SUMS, or ``bound`` plus an offset, as an int, Fraction or float, maybe a float step off."""
+    if draw(st.booleans()):
+        return draw(SPECIAL_SUMS)
+    total = draw(st.sampled_from([lambda b: b, Fraction, float]))(bound) + draw(OFFSETS)
+    if isinstance(total, float) and draw(st.booleans()):
+        total = math.nextafter(total, draw(st.sampled_from([math.inf, -math.inf])))
+    return total
+
+
+class TestWithin:
+    """Trying the exact bound first changes no answer: ``within`` is ``total <= bound + tol`` for every input."""
+
+    @given(st.sampled_from(BOUNDS).flatmap(lambda b: st.tuples(sums_near(b), st.just(b))), TOLS)
+    def test_within_is_the_plain_comparison(self, total_bound, tol):
+        total, bound = total_bound
+        assert within(total, bound, tol) == (total <= bound + tol)
+
+    @given(sums_near(1), TOLS)
+    def test_sums_to_one_is_the_plain_band(self, total, tol):
+        assert sums_to_one(total, tol) == (1 - tol <= total <= 1 + tol)
+
+    def test_the_band_edges(self):
+        assert within(1 + ABS_TOL, 1) and not within(1 + 2 * ABS_TOL, 1)
+        assert within(Fraction(3), 3, -0.0) and not within(Fraction(3), 3, -ABS_TOL)
+        assert not within(math.nan, 1) and not within(1, 1, math.nan) and within(math.inf, 1, math.inf)
 
 
 class TestLeftover:
