@@ -10,6 +10,7 @@ import importlib
 
 #: The module that defines each public name. A name loads its module when it is first read (PEP 562), so
 #: ``import neutroset`` loads no submodule and each command of the CLI loads only the modules it runs.
+#: It is the one list of public names: ``__all__`` is derived from it.
 _EXPORTS = {
     "core": (
         "ABS_TOL",
@@ -68,58 +69,9 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ABS_TOL",
-    "PRINTED_TOL",
-    "ComponentRangeError",
-    "ConstraintError",
-    "CubeRegion",
-    "DegenerateInputError",
-    "DivergenceReport",
-    "FamilyKind",
-    "FamilySpec",
-    "InclusionClaim",
-    "IntervalValue",
-    "LabeledSet",
-    "NeutrosetError",
-    "NormPair",
-    "Op",
-    "OperatorSystem",
-    "OverflowRule",
-    "Pair",
-    "ParadoxReport",
-    "SupTransformResult",
-    "SystemKind",
-    "TConorm",
-    "TNorm",
-    "Triplet",
-    "UndefinedOperationError",
-    "UnitValue",
-    "UsageError",
-    "ValidationReport",
-    "analytic_family_volume",
-    "classify_cube_region",
-    "conjunct",
-    "dependence_sum_bound",
-    "disjunct",
-    "divergence_report",
-    "embed_into_ns",
-    "estimate_family_volume",
-    "find_counterexample",
-    "hesitancy",
-    "implicate",
-    "make_unit",
-    "negate",
-    "normalize_elementwise",
-    "paradox_check",
-    "refusal",
-    "setwise",
-    "sup_transform",
-    "validate",
-]
 
 
 def __getattr__(name: str):

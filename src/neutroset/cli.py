@@ -103,16 +103,19 @@ def _family_from_args(args) -> FamilySpec:
         raise UsageError(str(exc)) from None  # a bad flag, not a bad document
 
 
+def _choice(enum, given: str, what: str):
+    """The member of ``enum`` whose value is ``given``, ignoring case."""
+    members = {m.value.lower(): m for m in enum}
+    try:
+        return members[given.lower()]
+    except KeyError:
+        raise UsageError(f"unknown {what} {given!r}; choose from {sorted(members)}") from None
+
+
 def _system_from_args(args) -> OperatorSystem:
     from neutroset.operators import NormPair, OperatorSystem, OverflowRule, SystemKind, TConorm, TNorm
 
-    kinds = {k.value.lower(): k for k in SystemKind}
-    try:
-        kind = kinds[args.system.lower()]
-    except KeyError:
-        raise NeutrosetError(
-            f"unknown system {args.system!r}; choose from {sorted(kinds)}"
-        ) from None
+    kind = _choice(SystemKind, args.system, "system")
     norms = NormPair(TNorm(args.tnorm), TConorm(args.tconorm))
     return OperatorSystem(kind, norms=norms, overflow=OverflowRule(args.overflow))
 
@@ -163,7 +166,7 @@ def _cmd_op(args) -> int:
     digest_b = None
     if op is not Op.NOT:
         if not args.b:
-            raise NeutrosetError(f"operator {op.value!r} needs a second operand file")
+            raise UsageError(f"operator {op.value!r} needs a second operand file")
         set_b = documents.load(args.b).to_labeled_set()
         digest_b = _digest(args.b)
     result = setwise(set_a, set_b, op, sys_)
@@ -299,11 +302,7 @@ def _cmd_volume(args) -> int:
 def _cmd_refined(args) -> int:
     from neutroset import refined
 
-    kinds = {k.value.lower(): k for k in refined.RefinedKind}
-    try:
-        kind = kinds[args.kind.lower()]
-    except KeyError:
-        raise NeutrosetError(f"unknown refined kind {args.kind!r}; choose from {sorted(kinds)}") from None
+    kind = _choice(refined.RefinedKind, args.kind, "refined kind")
     fam = refined.RefinedFamilySpec(kind, args.exponent)
     comps = refined.RefinedComponents(
         t=tuple(_csv_floats(args.truths)),
@@ -399,7 +398,7 @@ def _cmd_decide(args) -> int:
             try:
                 sizes[label] = float(size)  # no "=" leaves size empty, which float rejects
             except ValueError:
-                raise NeutrosetError(f"sizes must look like label=number, got {item!r}") from None
+                raise UsageError(f"sizes must look like label=number, got {item!r}") from None
         group_map = {
             "accept": decision.Verdict.ACCEPT,
             "neutral": decision.Verdict.NONCOMMIT,
@@ -409,7 +408,7 @@ def _cmd_decide(args) -> int:
         for item in args.groups.split(","):
             label, sep, g = item.partition("=")
             if not sep or g.strip() not in group_map:
-                raise NeutrosetError(f"group must be accept, neutral, or reject, got {item!r}")
+                raise UsageError(f"group must be accept, neutral, or reject, got {item!r}")
             label = label.strip()
             if label in groups:
                 raise UsageError(f"group of {label!r} given twice")
@@ -439,24 +438,28 @@ def _cmd_decide(args) -> int:
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the main parser and again on every subparser, so the
-    # flags work on either side of the subcommand
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--format", choices=("table", "json"), **({"default": d} if suppress else {"default": "table"}))
-    parser.add_argument("--round", type=int, metavar="N", help="round printed numbers to N decimals", default=d)
+    # registered on the main parser and again on every subparser, so the flags work on either
+    # side of the subcommand; a subparser's flag defaults to absent, keeping the main parser's value
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument("--format", choices=("table", "json"), default=default("table"))
+    parser.add_argument(
+        "--round", type=int, metavar="N", help="round printed numbers to N decimals", default=default(None)
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
         help=f"constraint slack and region tolerance for validate and refined only; op and transform "
         f"always check at {ABS_TOL:g}",
-        **({"default": d} if suppress else {"default": ABS_TOL}),
+        default=default(ABS_TOL),
     )
-    parser.add_argument("--seed", type=int, help="seed for sampling commands", **({"default": d} if suppress else {"default": 0}))
+    parser.add_argument("--seed", type=int, help="seed for sampling commands", default=default(0))
     parser.add_argument(
         "--debug",
         action="store_true",
         help="show the traceback of an internal error instead of one line",
-        **({"default": d} if suppress else {}),
+        default=default(False),
     )
 
 
@@ -565,10 +568,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return 2
-    except NeutrosetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NeutrosetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

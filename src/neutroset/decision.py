@@ -8,6 +8,7 @@ that legitimately leave [0, 1] (overtime above 1, damage below 0).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -182,19 +183,10 @@ def n_ways(
     for k in range(p):
         bands.append(_band_label(Verdict.ACCEPT, p - k))  # highest band accepts hardest
 
-    def band_index(score: Real) -> int:
-        idx = 0
-        for cut in cuts:
-            if score >= cut:
-                idx += 1
-            else:
-                break
-        return idx
-
-    labels = tuple(bands[band_index(x)] for x in scores)
-    n = len(labels)
-    counts = [sum(1 for lab in labels if lab is band) for band in bands]
-    fractions = [c / n for c in counts]
+    # a score's band counts the cuts at or below it
+    indices = [bisect_right(cuts, x) for x in scores]
+    labels = tuple(bands[k] for k in indices)
+    fractions = [indices.count(k) / len(indices) for k in range(n_bands)]
     return labels, PartitionN(
         accept_levels=tuple(fractions[s + r :]),
         noncommit_levels=tuple(fractions[s : s + r]),

@@ -21,6 +21,7 @@ from neutroset.families import (
     FamilyKind,
     FamilySpec,
     ValidationReport,
+    _component_limit,
     _embedded_row,
     _first_outside,
     family_from_tag,
@@ -117,8 +118,7 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
             )
         rows.append(tuple(row))
     if validate_elements:
-        cap = family.component_cap
-        end = _first_out_of_range(rows, cap if cap == 1.0 else cap + ABS_TOL)  # the range _coerce_components admits
+        end = _first_out_of_range(rows, _component_limit(family.component_cap))
         # the bound test stops at the first element out of range, so the first element to fail raises
         k = _first_outside(rows[:end], family)
         k = end if k < 0 else k

@@ -233,11 +233,16 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
             out.append(as_component(p))
         elif isinstance(p, bool) or not isinstance(p, Real):
             raise UsageError(f"expected a real number, got {type(p).__name__}")
-        elif not 0 <= p <= cap + ABS_TOL:
+        elif not 0 <= p <= _component_limit(cap):
             raise ComponentRangeError(p, f"component {p!r} outside [0, {cap:.6g}]")
         else:
             out.append(p)
     return tuple(out)
+
+
+def _component_limit(cap: float) -> float:
+    """The largest component :func:`_coerce_components` admits under ``cap``: past a cap of 1, ``ABS_TOL`` more."""
+    return cap if cap == 1.0 else cap + ABS_TOL
 
 
 def _powered_sum(parts, exponent: Real) -> Real:
@@ -408,12 +413,13 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
 
 
-#: Canonical witnesses: valid neutrosophic triplets rejected by the target family.
+#: Canonical witnesses: valid neutrosophic triplets rejected by the target family, with the
+#: exponent a claim on a family that takes one checks when the caller gives none.
 _WITNESSES = {
-    InclusionClaim.NS_NOT_SFS: Triplet(0.9, 0.4, 0.5),
-    InclusionClaim.NS_NOT_QROFS: Triplet(1.0, 0.5, 0.5),
-    InclusionClaim.NS_NOT_NHSFS: Triplet(1.0, 0.5, 0.5),
-    InclusionClaim.NS_NOT_IIFS: Triplet(1.0, 1.0, 1.0),
+    InclusionClaim.NS_NOT_SFS: (Triplet(0.9, 0.4, 0.5), FamilyKind.SFS, None),
+    InclusionClaim.NS_NOT_QROFS: (Triplet(1.0, 0.5, 0.5), FamilyKind.QROFS, 2),
+    InclusionClaim.NS_NOT_NHSFS: (Triplet(1.0, 0.5, 0.5), FamilyKind.NHSFS, 2),
+    InclusionClaim.NS_NOT_IIFS: (Triplet(1.0, 1.0, 1.0), FamilyKind.IIFS, None),
 }
 
 
@@ -423,26 +429,18 @@ def find_counterexample(claim: InclusionClaim, exponent: Real | None = None) -> 
     Witnesses are constants so downstream golden tests stay stable. For the
     exponent families the returned triplet has a full membership slot plus a
     positive second component, which overflows the bound for every
-    exponent >= 1.
+    exponent >= 1; the other targets take no exponent and ignore it.
     """
-    witness = _WITNESSES[claim]
+    witness, kind, default_exponent = _WITNESSES[claim]
     ns_ok = validate(witness, FamilySpec(FamilyKind.NS)).valid
-    target = _claim_target(claim, exponent)
+    if default_exponent is None or exponent is None:
+        exponent = default_exponent  # a target without a default takes no exponent
+    target = FamilySpec(kind, exponent)
     target_components = witness if target.arity == 3 else Pair(witness.t, witness.f)
     target_ok = validate(target_components, target).valid
     if not ns_ok or target_ok:
         raise AssertionError(f"canonical witness for {claim.value} failed its defining check")
     return witness
-
-
-def _claim_target(claim: InclusionClaim, exponent: Real | None) -> FamilySpec:
-    if claim is InclusionClaim.NS_NOT_SFS:
-        return FamilySpec(FamilyKind.SFS)
-    if claim is InclusionClaim.NS_NOT_QROFS:
-        return FamilySpec(FamilyKind.QROFS, exponent if exponent is not None else 2)
-    if claim is InclusionClaim.NS_NOT_NHSFS:
-        return FamilySpec(FamilyKind.NHSFS, exponent if exponent is not None else 2)
-    return FamilySpec(FamilyKind.IIFS)
 
 
 def classify_cube_region(components, tol: float = ABS_TOL) -> CubeRegion:

@@ -209,5 +209,6 @@ def coarsen(c: RefinedComponents) -> Triplet:
         return acc
 
     sums = (total(c.t), total(c.i), total(c.f))
-    # hand back plain floats whenever they represent the exact sum
-    return Triplet(*(float(v) if float(v) == v else v for v in sums))
+    # hand back plain floats whenever they represent the exact sum; a Fraction is in lowest terms, so
+    # comparing ratios builds no Fraction from the float as ``float(v) == v`` would
+    return Triplet(*(float(v) if float(v).as_integer_ratio() == (v.numerator, v.denominator) else v for v in sums))

@@ -187,6 +187,27 @@ class TestNWays:
         total += sum(float(v.v) for v in part.reject_levels)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @given(st.data())
+    def test_matches_a_reference_banding(self, data):
+        p, r, s = data.draw(st.tuples(*[st.integers(1, 4)] * 3).filter(lambda a: sum(a) >= 4), label="arities")
+        n_bands = p + r + s
+        cut_values = st.floats(-10, 10, allow_nan=False)
+        cuts = sorted(data.draw(st.sets(cut_values, min_size=n_bands - 1, max_size=n_bands - 1), label="cuts"))
+        between = [cuts[0] - 1, *((a + b) / 2 for a, b in zip(cuts, cuts[1:])), cuts[-1] + 1]
+        score = st.one_of(st.sampled_from(cuts), st.sampled_from(between), st.floats(-11, 11))
+        scores = data.draw(st.lists(score, min_size=1, max_size=20), label="scores")
+        labels, part = n_ways(scores, cuts, (p, r, s))
+        bands = [sum(c <= x for c in cuts) for x in scores]
+        for label, k in zip(labels, bands):
+            if k < s:
+                assert (label.verdict, label.level) == (Verdict.REJECT, k + 1)
+            elif k < s + r:
+                assert (label.verdict, label.level) == (Verdict.NONCOMMIT, s + r - k)
+            else:
+                assert (label.verdict, label.level) == (Verdict.ACCEPT, n_bands - k)
+        levels = (*part.reject_levels, *part.noncommit_levels, *part.accept_levels)
+        assert [v.v for v in levels] == [bands.count(k) / len(scores) for k in range(n_bands)]
+
 
 class TestOffsetDegrees:
     def test_worked_hours(self):

@@ -552,6 +552,20 @@ class TestMalformedCalls:
         path.write_bytes(json.dumps(A_N_DOC).replace("x1", "\u00e9").encode("latin-1"))
         assert "not UTF-8" in self._one_line_error(["validate", str(path)], capsys)
 
+    def test_unknown_system(self, doc_paths, capsys):
+        a, b = map(str, doc_paths)
+        err = self._one_line_error(["op", "--op", "and", "--system", "bogus", a, b], capsys)
+        assert err == "error: unknown system 'bogus'; choose from ['ifs', 'iifs-max', 'iifs-min', 'ns']\n"
+
+    def test_unknown_refined_kind(self, capsys):
+        err = self._one_line_error(["refined", "--kind", "RBOGUS", "--t", "0.2"], capsys)
+        kinds = "['rfs', 'rifs', 'riifs', 'rnhsns', 'rns', 'rpyfs', 'rqrofs', 'rsfs']"
+        assert err == f"error: unknown refined kind 'RBOGUS'; choose from {kinds}\n"
+
+    def test_system_and_refined_kind_ignore_case(self, doc_paths, capsys):
+        assert cli.main(["op", "--op", "not", str(doc_paths[0]), "--system", "nS"]) == 0
+        assert cli.main(["refined", "--kind", "rpyfs", "--t", "0.9", "--f", "0.2"]) == 0
+
     def test_exponent_without_family(self, doc_paths, capsys):
         err = self._one_line_error(["validate", str(doc_paths[0]), "--exponent", "2"], capsys)
         assert err.startswith("error: --exponent needs --family")
@@ -932,6 +946,11 @@ class TestStartup:
         assert report == {"loaded": [], "not_in_dir": [], "not_starred": [], "triplet_is_core": True}
         assert sorted(neutroset._MODULE_OF) == sorted(neutroset.__all__)
         assert not hasattr(neutroset, "no_such_name")  # so that ``from neutroset import documents`` imports the module
+
+    def test_each_public_name_is_listed_once(self):
+        names = [name for names in neutroset._EXPORTS.values() for name in names]
+        assert len(set(names)) == len(names)
+        assert neutroset.__all__ == names
 
     def test_parser_choices_are_the_enum_values(self):
         from neutroset.operators import Op, OverflowRule, TConorm, TNorm

@@ -300,6 +300,9 @@ class TestCounterexamples:
         assert find_counterexample(InclusionClaim.NS_NOT_SFS) == Triplet(0.9, 0.4, 0.5)
         assert find_counterexample(InclusionClaim.NS_NOT_QROFS, 2) == Triplet(1.0, 0.5, 0.5)
         assert find_counterexample(InclusionClaim.NS_NOT_IIFS) == Triplet(1.0, 1.0, 1.0)
+        # without an exponent, the exponent families are checked at 2
+        assert find_counterexample(InclusionClaim.NS_NOT_QROFS) == Triplet(1.0, 0.5, 0.5)
+        assert find_counterexample(InclusionClaim.NS_NOT_NHSFS) == Triplet(1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("claim", list(InclusionClaim))
     @pytest.mark.parametrize("exponent", [1, 2, 5])
