@@ -233,7 +233,8 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
             out.append(as_component(p))
         elif isinstance(p, bool) or not isinstance(p, Real):
             raise UsageError(f"expected a real number, got {type(p).__name__}")
-        elif not 0 <= p <= _component_limit(cap):
+        # [0, 1] first, inside every cap: an int or Fraction there never meets the float limit
+        elif not (0 <= p <= 1 or 0 <= p <= _component_limit(cap)):
             raise ComponentRangeError(p, f"component {p!r} outside [0, {cap:.6g}]")
         else:
             out.append(p)

@@ -161,9 +161,17 @@ def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
 
 
 # The bodies below take sequences of the scalars of operands already checked for the system, pick the
-# system once, and return the list of the results' components; callers range-check them (Triplet, or
-# LabeledSet._of_rows). ``zip`` pulls a row of ``a`` and then a row of ``b``, so operands that are checked
-# as they are read are checked in the order a0, b0, a1, b1, ...
+# system once, and return the list of the results' components. ``zip`` pulls a row of ``a`` and then a row
+# of ``b``, so operands that are checked as they are read are checked in the order a0, b0, a1, b1, ...
+#
+# Every result component is in [0, 1] for float, int and Fraction operands in [0, 1], so setwise builds
+# its set without a range pass (the family test still runs):
+# - min and max return an operand;
+# - a product of two values in [0, 1] is at most either factor, and rounding is monotone;
+# - ``1 - i`` and ``leftover`` stay in [0, 1];
+# - _restore_sum_bound divides by a sum that is at least the numerator, which gives at most 1;
+# - probsum on floats: if s = fl(a + b) > 1, then d = s - 1 is exact and fl(ab) >= d - 2**-53 exactly,
+#   so s - fl(ab) <= 1 + 2**-53, which rounds to 1. Exact operands give the exact a + b - ab <= 1.
 
 
 def _negate(a_rows: Iterable[tuple], sys: OperatorSystem) -> list:
@@ -239,7 +247,9 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
 
     ``NOT`` is unary and ignores ``b_set``. Operands are checked against
     the system's family unless their set's family lies inside it; the
-    result is tagged with the system's family and checked under it.
+    result is tagged with the system's family and checked under it. Its
+    components are in [0, 1] by construction (see the operator bodies),
+    so only the family test runs on them.
     """
     if op is Op.NOT:
         out = _negate(_operands(a_set, sys), sys)
@@ -251,7 +261,7 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
         out = _BINARY[op](_operands(a_set, sys), _operands(b_set, sys), sys)
-    return LabeledSet._of_rows(a_set.universe, out, system_family(sys))
+    return LabeledSet._of_ranged(a_set.universe, out, system_family(sys), False)
 
 
 def system_family(sys: OperatorSystem) -> FamilySpec:

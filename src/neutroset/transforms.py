@@ -45,7 +45,9 @@ class LabeledSet:
 
     def __init__(self, universe, triplets, family: FamilySpec):
         triplets = tuple(triplets)
-        self._build(universe, map(_components, triplets), family)
+        # a Triplet has range-checked its components
+        rows = tuple(map(_components, triplets))
+        self._build(universe, rows, family, any(isinstance(c, IntervalValue) for row in rows for c in row))
         self.__dict__["triplets"] = triplets  # the view, already at hand
 
     @classmethod
@@ -55,28 +57,25 @@ class LabeledSet:
         ``checked`` rows are JSON numbers in [0, 1] the caller has found valid under ``family``: they
         build the same set, with only its shape checked.
         """
+        if checked:
+            return cls._of_ranged(universe, rows, family, False, family_checked=True)
+        rows, has_intervals = _ranged(rows)
+        return cls._of_ranged(universe, rows, family, has_intervals)
+
+    @classmethod
+    def _of_ranged(cls, universe, rows, family: FamilySpec, has_intervals: bool,
+                   family_checked=False) -> "LabeledSet":
+        """A set of rows as ``Triplet.components()`` gives them, each component known to be in range.
+
+        ``has_intervals`` tells whether any row holds an interval. The shape is checked, then, unless
+        ``family_checked``, the rows against ``family``, with the errors raw rows raise.
+        """
         s = object.__new__(cls)
-        s._build(universe, rows, family, checked)
+        s._build(universe, rows, family, has_intervals, family_checked)
         return s
 
-    def _build(self, universe, rows, family: FamilySpec, checked=False) -> None:
-        # every range first, then the shape, then membership: the order in which building the Triplets
-        # and then the set fails
-        has_intervals = False
-        if not checked:
-            ranged = []
-            append = ranged.append
-            for row in rows:
-                if len(row) == 3:
-                    t, i, f = row
-                    # floats in [0, 1], which Triplet keeps as they are
-                    if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
-                        append(row)
-                        continue
-                row = Triplet(*row).components()
-                has_intervals = has_intervals or any(isinstance(c, IntervalValue) for c in row)
-                append(row)
-            rows = ranged
+    def _build(self, universe, rows, family: FamilySpec, has_intervals: bool, family_checked=False) -> None:
+        # the shape, then membership: the order in which building the set from Triplets fails
         object.__setattr__(self, "universe", tuple(universe))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "family", family)
@@ -87,7 +86,7 @@ class LabeledSet:
             raise UsageError("universe contains duplicate element names")
         if not self.universe:
             raise UsageError("universe is empty")
-        k = -1 if checked else _first_outside(self._sup_rows(), family)
+        k = -1 if family_checked else _first_outside(self._sup_rows(), family)
         if k >= 0:
             scalars = tuple(map(float, _scalars(self.rows[k])))
             raise UsageError(f"element {self.universe[k]!r} {scalars} is not valid under {family.describe()}")
@@ -134,13 +133,38 @@ def _components(t) -> tuple:
     return t.components()
 
 
+def _ranged(rows) -> tuple[list, bool]:
+    """Raw rows range-checked as ``Triplet(*row).components()`` checks them, and whether any holds an interval.
+
+    Each row comes back a tuple, a list row too, so the set hashes.
+    """
+    ranged = []
+    append = ranged.append
+    has_intervals = False
+    for row in rows:
+        if len(row) == 3:
+            t, i, f = row
+            # floats in [0, 1], which Triplet keeps as they are
+            if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
+                append((t, i, f))
+                continue
+        row = Triplet(*row).components()
+        has_intervals = has_intervals or any(isinstance(c, IntervalValue) for c in row)
+        append(row)
+    return ranged, has_intervals
+
+
 def _scalars(row: tuple) -> tuple:
     """``Triplet(*row).scalars()``: degenerate intervals collapse, others raise."""
     return tuple(map(scalar_of, row))
 
 
 def _divided(s: LabeledSet, denominators: Iterable[Real]) -> list:
-    """Each row of ``s`` over its own denominator; intervals divide endpoint by endpoint."""
+    """Each row of ``s`` over its own denominator; intervals divide endpoint by endpoint.
+
+    Each denominator is a positive sum of suprema that holds every component of its row. Sums and
+    quotients round monotonically, so each quotient stays in [0, 1]: the callers' sets skip the range pass.
+    """
     if s._has_intervals:
         return [tuple(IntervalValue(c.lo / d, c.hi / d) if isinstance(c, IntervalValue) else c / d for c in row)
                 for row, d in zip(s.rows, denominators)]
@@ -167,7 +191,8 @@ def sup_transform(s: LabeledSet) -> SupTransformResult:
     denom = max(map(itemgetter(0), sups)) + max(map(itemgetter(1), sups)) + max(map(itemgetter(2), sups))
     if denom <= ABS_TOL:
         raise DegenerateInputError("set-wide supremum sum is zero; nothing to rescale")
-    labeled = LabeledSet._of_rows(s.universe, _divided(s, repeat(denom)), FamilySpec(FamilyKind.IIFS))
+    rows = _divided(s, repeat(denom))
+    labeled = LabeledSet._of_ranged(s.universe, rows, FamilySpec(FamilyKind.IIFS), s._has_intervals)
     refusals = tuple(UnitValue(leftover(0 + t + i + f)) for t, i, f in labeled._sup_rows())
     return SupTransformResult(labeled=labeled, refusals=refusals, denominator=denom)
 
@@ -182,7 +207,7 @@ def normalize_elementwise(s: LabeledSet) -> LabeledSet:
     for name, total in zip(s.universe, totals):
         if total <= ABS_TOL:
             raise DegenerateInputError(f"element {name!r} has zero component sum; cannot normalize")
-    return LabeledSet._of_rows(s.universe, _divided(s, totals), FamilySpec(FamilyKind.IFS))
+    return LabeledSet._of_ranged(s.universe, _divided(s, totals), FamilySpec(FamilyKind.IFS), s._has_intervals)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import neutroset
 from neutroset import cli, documents
-from neutroset.core import ConstraintError, UsageError
+from neutroset.core import ConstraintError, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
+from neutroset.transforms import LabeledSet
 
 A_N_DOC = {
     "format_version": 1,
@@ -99,6 +100,15 @@ class TestDocuments:
             )
         )
         assert doc.components == ((0.9, 0.2),)
+
+    @pytest.mark.parametrize("row", [[0.1, 0.2, 0.3], [0.1, Fraction(1, 5), 0.3], [0, 1, 0.5]])
+    def test_list_rows_become_tuple_rows(self, row):
+        """A document built with list rows makes the set its Triplets make: tuple rows, hashable."""
+        ns = FamilySpec(FamilyKind.NS)
+        s = documents.ElementSetDocument(family=ns, universe=("x",), components=(row,)).to_labeled_set()
+        want = LabeledSet(("x",), [Triplet(*row)], ns)
+        assert s.rows == (tuple(row),) and type(s.rows[0]) is tuple
+        assert s == want and hash(s) == hash(want)
 
 
 def json_layout(doc: documents.ElementSetDocument) -> str:
@@ -279,6 +289,24 @@ class TestCliTransform:
             "x1       (0.8, 0.3, 0.5)  (0.444, 0.167, 0.278)  0.111  ",
             "x2       (0.9, 0.2, 0.6)  (0.5, 0.111, 0.333)    0.056  ",
         ]
+
+
+SET_LAYER = Path(__file__).parent / "data" / "set_layer"
+
+
+def test_set_layer_output_is_pinned_byte_for_byte(capsys, monkeypatch):
+    """``op`` for every system, norm pair and operator, and both transforms, on the checked-in documents.
+
+    ``calls.txt`` holds one argument line per call; ``output.txt`` is each
+    line after ``$ neutroset`` and then what the call prints, as the CI step
+    writes it through the installed entry point.
+    """
+    monkeypatch.chdir(SET_LAYER.parents[2])  # the calls name the documents from the root of the checkout
+    transcript = []
+    for line in (SET_LAYER / "calls.txt").read_text(encoding="utf-8").splitlines():
+        assert cli.main(line.split()) == 0, line
+        transcript.append(f"$ neutroset {line}\n{capsys.readouterr().out}")
+    assert "".join(transcript).encode() == (SET_LAYER / "output.txt").read_bytes()
 
 
 class TestCliDemo:
