@@ -309,6 +309,26 @@ def test_set_layer_output_is_pinned_byte_for_byte(capsys, monkeypatch):
     assert "".join(transcript).encode() == (SET_LAYER / "output.txt").read_bytes()
 
 
+SET_ERRORS = Path(__file__).parent / "data" / "set_errors"
+
+
+def test_set_layer_errors_are_pinned_byte_for_byte(capsys, monkeypatch):
+    """``op`` and ``transform`` calls that fail, each with the error line and exit code it gives.
+
+    ``calls.txt`` holds one argument line per call; ``errors.txt`` is each
+    line after ``$ neutroset``, then what the call writes to stderr and
+    ``exit`` with its code. No failing call writes to stdout.
+    """
+    monkeypatch.chdir(SET_ERRORS.parents[2])  # the calls name the documents from the root of the checkout
+    transcript = []
+    for line in (SET_ERRORS / "calls.txt").read_text(encoding="utf-8").splitlines():
+        code = cli.main(line.split())
+        out, err = capsys.readouterr()
+        assert out == "", line
+        transcript.append(f"$ neutroset {line}\n{err}exit {code}\n")
+    assert "".join(transcript).encode() == (SET_ERRORS / "errors.txt").read_bytes()
+
+
 class TestCliDemo:
     def test_all_exhibits_pass(self, capsys):
         assert cli.main(["demo", "--all"]) == 0
