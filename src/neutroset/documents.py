@@ -2,9 +2,10 @@
 
 A document is JSON with an explicit format version, a family tag (plus
 exponent where the family needs one), an ordered universe, and per-element
-component arrays at full precision. Triplet documents load into
-:class:`neutroset.transforms.LabeledSet`; pair-family documents validate
-elementwise without a set wrapper.
+component arrays at full precision. Triplet documents, and IFS documents
+whose pairs widen to sum-1 triplets, become a
+:class:`neutroset.transforms.LabeledSet`; the other pair families validate
+elementwise but form no set.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, leftover
+from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, leftover, sup_of
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
     ValidationReport,
+    _coerce_components,
     _component_limit,
-    _embedded_row,
     _first_outside,
     family_from_tag,
     validate,
@@ -44,7 +45,7 @@ class ElementSetDocument:
     family: FamilySpec
     universe: tuple[str, ...]
     components: tuple[tuple, ...]
-    #: Whether :func:`loads` found every element valid under ``family``; only it sets this.
+    #: Whether :func:`loads` range-checked these components; only it sets this. Sets still test their family.
     checked: bool = field(default=False, init=False, compare=False)
 
     def to_labeled_set(self) -> LabeledSet:
@@ -58,18 +59,19 @@ class ElementSetDocument:
     def _labeled_set(self) -> LabeledSet:
         from neutroset.transforms import LabeledSet  # here, so that loading and validating a document skip it
 
-        if self.family.arity == 3:
-            rows = self.components
-            # loads range-checked the rows to [0, 1] unless the family lets components exceed 1
-            checked = self.checked and not self.family.kind.row.extended
-        elif self.checked and self.family.kind is FamilyKind.IFS:
-            # loads found t + f within 1 + tol: widen as embed_into_ns does, without checking again
-            rows = [(t, leftover(0 + t + f), f) for t, f in self.components]
-            checked = True
-        else:
-            rows = [_embedded_row(row, self.family) for row in self.components]
-            checked = False
-        return LabeledSet._of_rows(self.universe, rows, self.family, checked)
+        family = self.family
+        if family.arity == 3:
+            if self.checked and not family.kind.row.extended:  # loads range-checked the rows to [0, 1]
+                return LabeledSet._of_ranged(self.universe, self.components, family, False)
+            return LabeledSet._of_rows(self.universe, self.components, family)
+        if family.kind is not FamilyKind.IFS:
+            raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs widen into a set")
+        pairs = self.components
+        if not self.checked:  # each component a unit value, an interval by its supremum
+            pairs = [map(sup_of, _coerce_components(row, 2, family.component_cap, family)) for row in pairs]
+        # an IFS pair (t, f) is the NS triplet (t, 1 - t - f, f), the middle clamped at 0 as embed_into_ns widens it
+        rows = [(t, leftover(0 + t + f), f) for t, f in pairs]
+        return LabeledSet._of_ranged(self.universe, rows, family, False)
 
 
 def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:

@@ -145,7 +145,7 @@ class FamilySpec(_TableSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        # resolved once per spec: admits reads it on every element
+        # resolved once per spec: _first_outside reads it on every call
         whole_cube = _admits_unit_cube(self) and not self._row.extended
         object.__setattr__(self, "_bound_test", (whole_cube, self._row.columns, self.effective_exponent, self.bound))
 
@@ -288,14 +288,9 @@ def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
     widens it to. Range violations raise as in :func:`validate`.
     """
     if isinstance(components, Triplet):
-        return admits_triplet(components.components(), family, tol)
-    return admits_triplet(_coerce_components(components, family.arity, family.component_cap, family), family, tol)
-
-
-def admits_triplet(parts: tuple, family: FamilySpec, tol: float = ABS_TOL) -> bool:
-    """:func:`admits` on range-checked components: a :class:`Triplet`'s, or ones coerced for ``family``."""
-    if family._bound_test[0] and tol >= 0 and len(parts) == family._row.arity:
-        return True  # the whole-cube short cut of _first_outside, without building its row
+        parts = components.components()
+    else:
+        parts = _coerce_components(components, family.arity, family.component_cap, family)
     return _first_outside([tuple(map(sup_of, parts))], family, tol) < 0
 
 
@@ -399,7 +394,7 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
     """The components of :func:`embed_into_ns`'s triplet, each already in [0, 1]."""
     row = from_family._row
     parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
-    if not admits_triplet(parts, from_family):
+    if _first_outside([tuple(map(sup_of, parts))], from_family) >= 0:
         raise ConstraintError(validate(parts, from_family).diagnostics)
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:

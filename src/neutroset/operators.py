@@ -23,7 +23,7 @@ from numbers import Real
 from typing import Iterable
 
 from neutroset.core import ConstraintError, Triplet, UsageError, leftover, within
-from neutroset.families import FamilyKind, FamilySpec, _powered_sum, admits_triplet, includes
+from neutroset.families import FamilyKind, FamilySpec, _first_outside, _powered_sum, includes
 from neutroset.transforms import LabeledSet, _scalars
 
 
@@ -134,7 +134,7 @@ def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]
     """The scalars of a triplet's components, checked against the system's family."""
     scalars = _scalars(parts)
     family = _OPERAND_FAMILY[sys.system]
-    if not admits_triplet(parts, family):
+    if _first_outside([scalars], family) >= 0:  # a scalar row is its own row of suprema
         total = float(_powered_sum(scalars, 1))
         raise ConstraintError(f"{sys.system.value} operand components sum to {total!r}, outside {family.describe()}")
     return scalars
@@ -247,8 +247,9 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
 
     ``NOT`` is unary and ignores ``b_set``. Operands are checked against
     the system's family unless their set's family lies inside it; the
-    result is tagged with the system's family and checked under it. Its
-    components are in [0, 1] by construction (see the operator bodies),
+    result is tagged with the system's family and checked under it, and a
+    result element outside it raises naming the operator and the system.
+    Its components are in [0, 1] by construction (see the operator bodies),
     so only the family test runs on them.
     """
     if op is Op.NOT:
@@ -261,7 +262,10 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
         out = _BINARY[op](_operands(a_set, sys), _operands(b_set, sys), sys)
-    return LabeledSet._of_ranged(a_set.universe, out, system_family(sys), False)
+    try:
+        return LabeledSet._of_ranged(a_set.universe, out, system_family(sys), False)
+    except UsageError as exc:  # the operands' shape is sound, so only the family test fails here
+        raise UsageError(f"the result of {op.value!r} under {sys.system.value} for {exc}") from None
 
 
 def system_family(sys: OperatorSystem) -> FamilySpec:

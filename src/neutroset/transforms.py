@@ -51,30 +51,23 @@ class LabeledSet:
         self.__dict__["triplets"] = triplets  # the view, already at hand
 
     @classmethod
-    def _of_rows(cls, universe, rows, family: FamilySpec, checked=False) -> "LabeledSet":
-        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them.
-
-        ``checked`` rows are JSON numbers in [0, 1] the caller has found valid under ``family``: they
-        build the same set, with only its shape checked.
-        """
-        if checked:
-            return cls._of_ranged(universe, rows, family, False, family_checked=True)
+    def _of_rows(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
+        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them."""
         rows, has_intervals = _ranged(rows)
         return cls._of_ranged(universe, rows, family, has_intervals)
 
     @classmethod
-    def _of_ranged(cls, universe, rows, family: FamilySpec, has_intervals: bool,
-                   family_checked=False) -> "LabeledSet":
+    def _of_ranged(cls, universe, rows, family: FamilySpec, has_intervals: bool) -> "LabeledSet":
         """A set of rows as ``Triplet.components()`` gives them, each component known to be in range.
 
-        ``has_intervals`` tells whether any row holds an interval. The shape is checked, then, unless
-        ``family_checked``, the rows against ``family``, with the errors raw rows raise.
+        ``has_intervals`` tells whether any row holds an interval. The shape is checked, then the rows
+        against ``family``, with the errors raw rows raise.
         """
         s = object.__new__(cls)
-        s._build(universe, rows, family, has_intervals, family_checked)
+        s._build(universe, rows, family, has_intervals)
         return s
 
-    def _build(self, universe, rows, family: FamilySpec, has_intervals: bool, family_checked=False) -> None:
+    def _build(self, universe, rows, family: FamilySpec, has_intervals: bool) -> None:
         # the shape, then membership: the order in which building the set from Triplets fails
         object.__setattr__(self, "universe", tuple(universe))
         object.__setattr__(self, "rows", tuple(rows))
@@ -86,7 +79,7 @@ class LabeledSet:
             raise UsageError("universe contains duplicate element names")
         if not self.universe:
             raise UsageError("universe is empty")
-        k = -1 if family_checked else _first_outside(self._sup_rows(), family)
+        k = _first_outside(self._sup_rows(), family)
         if k >= 0:
             scalars = tuple(map(float, _scalars(self.rows[k])))
             raise UsageError(f"element {self.universe[k]!r} {scalars} is not valid under {family.describe()}")

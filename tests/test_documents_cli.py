@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neutroset
-from neutroset import cli, documents
-from neutroset.core import ConstraintError, Triplet, UsageError
+from neutroset import cli, documents, families
+from neutroset.core import Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
 from neutroset.transforms import LabeledSet
@@ -476,20 +477,28 @@ class TestExactTypes:
                 (type(v), repr(v)) for v in want.components()
             ]
 
-    @pytest.mark.parametrize("kind,match", [("PyFS", "only IFS pairs"), ("FS", "no embedding")])
-    def test_pair_documents_of_other_families_form_no_set(self, kind, match):
-        text = json.dumps(
-            {"format_version": 1, "family": {"kind": kind}, "universe": ["e"], "elements": {"e": [0.5, 0.5]}}
-        )
-        with pytest.raises(UsageError, match=match):
-            documents.loads(text).to_labeled_set()
+    @pytest.mark.parametrize("family", [{"kind": "PyFS"}, {"kind": "QROFS", "exponent": 2}, {"kind": "FS"}])
+    @pytest.mark.parametrize("validate_elements", [True, False])
+    def test_pair_documents_of_other_families_form_no_set(self, family, validate_elements, monkeypatch):
+        text = json.dumps({"format_version": 1, "family": family, "universe": ["e"], "elements": {"e": [0.5, 0.5]}})
+        doc = documents.loads(text, validate_elements)
+
+        def embedded(*args):
+            raise AssertionError("a row was embedded")
+
+        # the family is refused before any row is read, checked or widened
+        monkeypatch.setattr(families, "_embedded_row", embedded)
+        monkeypatch.setattr(documents, "_coerce_components", embedded)
+        described = doc.family.describe()
+        with pytest.raises(UsageError, match=rf"^{re.escape(described)} elements are pairs; only IFS pairs widen"):
+            doc.to_labeled_set()
 
     def test_invalid_unvalidated_ifs_document_fails_to_widen(self):
         text = json.dumps(
             {"format_version": 1, "family": {"kind": "IFS"}, "universe": ["e"], "elements": {"e": [0.7, 0.6]}}
         )
         doc = documents.loads(text, validate_elements=False)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(UsageError, match=r"^element 'e' \(0\.7, 0\.0, 0\.6\) is not valid under IFS$"):
             doc.to_labeled_set()
 
     @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from neutroset.families import (
     FamilySpec,
     _first_outside,
     admits,
-    admits_triplet,
     classify_cube_region,
     embed_into_ns,
     hesitancy,
@@ -290,7 +289,12 @@ class TestFamilyInclusion:
 
     def test_implication_checks_each_operand_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(operators, "admits_triplet", lambda x, family: calls.append(x) or admits_triplet(x, family))
+
+        def counted(rows, family):
+            calls.extend(rows)
+            return _first_outside(rows, family)
+
+        monkeypatch.setattr(operators, "_first_outside", counted)
         a, b = Triplet(0.2, 0.3, 0.4), Triplet(0.5, 0.1, 0.1)
         assert trip(implicate(a, b, MAXI)) == (0.5, 0.1, 0.1)
         assert calls == [a.components(), b.components()]
@@ -529,16 +533,12 @@ class TestSetwise:
         """The family of every row checked: one by one (operands), or a whole set at once (results)."""
         calls = []
 
-        def counted(x, family):
-            calls.append(family.kind)
-            return admits_triplet(x, family)
-
-        def counted_rows(rows, family):
+        def counted(rows, family):
             calls.extend([family.kind] * len(rows))
             return _first_outside(rows, family)
 
-        monkeypatch.setattr(operators, "admits_triplet", counted)
-        monkeypatch.setattr(transforms, "_first_outside", counted_rows)
+        monkeypatch.setattr(operators, "_first_outside", counted)
+        monkeypatch.setattr(transforms, "_first_outside", counted)
         return calls
 
     @pytest.mark.parametrize("op", list(Op))
@@ -566,6 +566,59 @@ class TestSetwise:
         b = LabeledSet.from_mapping({"x1": (0, 0, 0), "x2": (0, 0, 0)}, ns)
         with pytest.raises(ConstraintError, match=r"^IFS operand components sum to 0\.0, outside IFS$"):
             setwise(a, b, op, IFS)
+
+
+class TestOneFamilyTestPerSet:
+    """Every way into a set runs the family test once, on the whole set, in the builder."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch) -> list:
+        """The family of each set the builder tests, one entry per call of the bound test."""
+        calls = []
+
+        def counted(rows, family):
+            calls.append(family.kind)
+            return _first_outside(rows, family)
+
+        monkeypatch.setattr(transforms, "_first_outside", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, elements", [
+        ("NS", {"x1": [0.8, 0.3, 0.5], "x2": [1, 1, 1]}),
+        ("IIFS", {"x1": [0.2, 0.3, 0.4], "x2": [0.5, 0.1, 0.1]}),
+        ("SNS", {"x1": [0.9, 0.9, 0.9], "x2": [0.5, 0.5, 0.5]}),
+        ("IFS", {"x1": [0.3, 0.7], "x2": [0.2, 0.5]}),
+    ])
+    @pytest.mark.parametrize("validate_elements", [True, False])
+    def test_documents(self, tested, kind, elements, validate_elements):
+        text = json.dumps({"format_version": 1, "family": {"kind": kind}, "universe": list(elements),
+                           "elements": elements})
+        doc = documents.loads(text, validate_elements)
+        assert tested == []  # loads checks a document, not a set
+        doc.to_labeled_set()
+        assert tested == [FamilyKind(kind)]
+
+    def test_the_constructor(self, tested):
+        LabeledSet(("x1", "x2"), [A1, A2], FamilySpec(FamilyKind.IIFS))
+        assert tested == [FamilyKind.IIFS]
+
+    @pytest.mark.parametrize("op", list(Op))
+    @pytest.mark.parametrize("sys", [NS, MINI, IFS])
+    def test_setwise(self, tested, op, sys):
+        ifs = FamilySpec(FamilyKind.IFS)
+        a = LabeledSet.from_mapping({"x1": (0.3, 0.0, 0.7), "x2": (1, 0, 0)}, ifs)
+        b = LabeledSet.from_mapping({"x1": (0.5, 0.25, 0.25), "x2": (0, 0, 1)}, ifs)
+        tested.clear()
+        setwise(a, b, op, sys)
+        assert tested == [operators.system_family(sys).kind]
+
+    def test_the_transforms(self, tested):
+        s = TestSetwise.A
+        sup_transform(s)
+        assert tested == [FamilyKind.IIFS]
+        tested.clear()
+        normalize_elementwise(s)
+        assert tested == [FamilyKind.IFS]
 
 
 #: One component of every type an operand may carry: floats (-0.0 among them), ints and Fractions.
@@ -671,7 +724,10 @@ class TestSetsAgreeWithScalars:
                         out = [negate(x, sys) for x in a.triplets]
                     else:
                         out = [SCALAR_OPS[op](x, y, sys) for x, y in zip(a.triplets, b.triplets)]
-                    return LabeledSet(names, out, operators.system_family(sys))
+                    try:
+                        return LabeledSet(names, out, operators.system_family(sys))
+                    except UsageError as exc:
+                        raise UsageError(f"the result of {op.value!r} under {sys.system.value} for {exc}") from None
 
                 want, got = outcome(scalar), outcome(lambda: setwise(a, b, op, sys))
                 if isinstance(want, Exception):
@@ -719,13 +775,13 @@ def divide(c, d):
 
 
 def rows_one_by_one(names, rows, family: FamilySpec) -> list:
-    """``LabeledSet._of_rows``, element by element: every row through ``Triplet``, then each through ``admits_triplet``."""
-    checked = [Triplet(*row).components() for row in rows]
-    for name, row in zip(names, checked):
-        if not admits_triplet(row, family):
-            scalars = tuple(float(scalar_of(c)) for c in row)
+    """``LabeledSet._of_rows``, element by element: every row through ``Triplet``, then each through ``admits``."""
+    triplets = [Triplet(*row) for row in rows]
+    for name, x in zip(names, triplets):
+        if not admits(x, family):
+            scalars = tuple(float(scalar_of(c)) for c in x.components())
             raise UsageError(f"element {name!r} {scalars} is not valid under {family.describe()}")
-    return checked
+    return [x.components() for x in triplets]
 
 
 def loads_one_by_one(text: str) -> documents.ElementSetDocument:
@@ -748,15 +804,14 @@ def named_range_error(doc: documents.ElementSetDocument, exc: Exception) -> Exce
     return documents.DocumentError(f"element {name!r} cannot form a set: {exc}")
 
 
-def set_rows_one_by_one(doc: documents.ElementSetDocument, checked: bool) -> list:
-    """``to_labeled_set``'s rows, each pair widened by ``embed_into_ns``."""
+def set_rows_one_by_one(doc: documents.ElementSetDocument) -> list:
+    """``to_labeled_set``'s rows: only IFS pairs widen, each after every pair's range check, then each is checked."""
     if doc.family.arity == 3:
-        if checked and not doc.family.kind.row.extended:
-            return list(doc.components)
         return rows_one_by_one(doc.universe, doc.components, doc.family)
-    rows = [embed_into_ns(row, doc.family).components() for row in doc.components]
-    if doc.family.kind is FamilyKind.IFS:
-        return rows
+    if doc.family.kind is not FamilyKind.IFS:
+        raise UsageError(f"{doc.family.describe()} elements are pairs; only IFS pairs widen into a set")
+    pairs = [tuple(map(sup_of, Pair(*row).components())) for row in doc.components]
+    rows = [(t, leftover(left_to_right((t, f))), f) for t, f in pairs]
     return rows_one_by_one(doc.universe, rows, doc.family)
 
 
@@ -858,7 +913,7 @@ class TestOnePassAgreesWithOneByOne:
         if not same_outcome(got, want, lambda doc: typed_rows(doc.components)):
             return
         s = outcome(got.to_labeled_set)
-        want_rows = named_range_error(want, outcome(lambda: set_rows_one_by_one(want, validate_elements)))
+        want_rows = named_range_error(want, outcome(lambda: set_rows_one_by_one(want)))
         if same_outcome(s if isinstance(s, Exception) else s.rows, want_rows):
             self.check_transforms(s)
 
