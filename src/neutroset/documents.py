@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, leftover, sup_of
+from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, sup_of
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
@@ -25,6 +25,7 @@ from neutroset.families import (
     _coerce_components,
     _component_limit,
     _first_outside,
+    _widened,
     family_from_tag,
     validate,
 )
@@ -69,9 +70,8 @@ class ElementSetDocument:
         pairs = self.components
         if not self.checked:  # each component a unit value, an interval by its supremum
             pairs = [map(sup_of, _coerce_components(row, 2, family.component_cap, family)) for row in pairs]
-        # an IFS pair (t, f) is the NS triplet (t, 1 - t - f, f), the middle clamped at 0 as embed_into_ns widens it
-        rows = [(t, leftover(0 + t + f), f) for t, f in pairs]
-        return LabeledSet._of_ranged(self.universe, rows, family, False)
+        # an IFS pair is the sum-1 triplet embed_into_ns widens it to
+        return LabeledSet._of_ranged(self.universe, _widened(pairs), family, False)
 
 
 def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:

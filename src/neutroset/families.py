@@ -405,8 +405,13 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
         t, f = map(sup_of, parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
-        return (tp, leftover(0 + tp + fp), fp)
+        return _widened([(tp, fp)])[0]
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
+
+
+def _widened(pairs) -> list:
+    """Each (t, f) pair as (t, hesitancy, f): the middle is 1 - t - f clamped at 0, and a pair past 1 stays past it."""
+    return [(t, leftover(0 + t + f), f) for t, f in pairs]
 
 
 #: Canonical witnesses: valid neutrosophic triplets rejected by the target family, with the

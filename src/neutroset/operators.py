@@ -13,6 +13,12 @@ Four systems share one t-norm/t-conorm pair:
 
 Negation, and hence implication (not-a or b), is shared by the
 intuitionistic-style systems; only the neutrosophic one flips indeterminacy.
+
+Every system maps valid operands to elements of its own family, for scalar
+calls and ``setwise`` alike. Under product/probsum, operands valid only
+within the tolerance can give a result past the sum bound; that row is
+rescaled onto the bound by its own sum (the rule IIFS_MAX_I's ``OUTPUT``
+overflow applies), and under IFS its middle slot is derived again.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from enum import Enum
 from numbers import Real
 from typing import Iterable
 
-from neutroset.core import ConstraintError, Triplet, UsageError, leftover, within
-from neutroset.families import FamilyKind, FamilySpec, _first_outside, _powered_sum, includes
+from neutroset.core import ConstraintError, Triplet, UsageError, within
+from neutroset.families import FamilyKind, FamilySpec, _first_outside, _powered_sum, _widened, includes
 from neutroset.transforms import LabeledSet, _scalars
 
 
@@ -128,6 +134,9 @@ class OperatorSystem:
         object.__setattr__(
             self, "_resolved", (self.system, _MEET[norms.tnorm], _JOIN[norms.tconorm], self.overflow)
         )
+        # min/max and product/max results are bounded by an operand's sum, so only probsum can take a result
+        # past the bound (NS's bound admits the whole cube); scalar calls close their result only then
+        object.__setattr__(self, "_may_leave", self.system is not SystemKind.NS and norms.tconorm is TConorm.PROB_SUM)
 
 
 def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]:
@@ -141,23 +150,28 @@ def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]
 
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
-    """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I."""
+    """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I. It keeps the sum bound."""
     return Triplet(*_negate((_require_valid(a.components(), sys),), sys)[0])
 
 
 def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Intersection under the system's convention for the middle component."""
-    return Triplet(*_conjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
+    return _result(_conjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys), sys)
 
 
 def disjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Union; both inconsistent-intuitionistic conventions meet the middle slot here."""
-    return Triplet(*_disjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
+    return _result(_disjunct((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys), sys)
 
 
 def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
     """Implication as (not a) or b."""
-    return Triplet(*_implicate((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys)[0])
+    return _result(_implicate((_require_valid(a.components(), sys),), (_require_valid(b.components(), sys),), sys), sys)
+
+
+def _result(rows: list, sys: OperatorSystem) -> Triplet:
+    """A scalar call's one result row as a Triplet, closed into the system's family where a result can leave it."""
+    return Triplet(*(_closed(rows, sys) if sys._may_leave else rows)[0])
 
 
 # The bodies below take sequences of the scalars of operands already checked for the system, pick the
@@ -169,7 +183,7 @@ def implicate(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
 # - min and max return an operand;
 # - a product of two values in [0, 1] is at most either factor, and rounding is monotone;
 # - ``1 - i`` and ``leftover`` stay in [0, 1];
-# - _restore_sum_bound divides by a sum that is at least the numerator, which gives at most 1;
+# - _restore_sum_bound and _closed divide by a sum that is at least the numerator, which gives at most 1;
 # - probsum on floats: if s = fl(a + b) > 1, then d = s - 1 is exact and fl(ab) >= d - 2**-53 exactly,
 #   so s - fl(ab) <= 1 + 2**-53, which rounds to 1. Exact operands give the exact a + b - ab <= 1.
 
@@ -186,8 +200,7 @@ def _conjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSys
     if kind is SystemKind.NS:
         return [(meet(ta, tb), join(ia, ib), join(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
     if kind is SystemKind.IFS:
-        return [(t, leftover(0 + t + f), f)
-                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(meet(ta, tb), join(fa, fb))]]
+        return _widened([(meet(ta, tb), join(fa, fb)) for (ta, _, fa), (tb, _, fb) in pairs])
     if kind is SystemKind.IIFS_MIN_I:
         return [(meet(ta, tb), meet(ia, ib), join(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
     return [_restore_sum_bound(meet(ta, tb), meet(ia, ib), join(ia, ib), join(fa, fb), overflow)
@@ -198,8 +211,7 @@ def _disjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSys
     kind, meet, join, _ = sys._resolved
     pairs = zip(a_rows, b_rows)
     if kind is SystemKind.IFS:
-        return [(t, leftover(0 + t + f), f)
-                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(join(ta, tb), meet(fa, fb))]]
+        return _widened([(join(ta, tb), meet(fa, fb)) for (ta, _, fa), (tb, _, fb) in pairs])
     return [(join(ta, tb), meet(ia, ib), meet(fa, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
 
 
@@ -209,8 +221,7 @@ def _implicate(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSy
     kind, meet, join, _ = sys._resolved
     pairs = zip(a_rows, b_rows)
     if kind is SystemKind.IFS:
-        return [(t, leftover(0 + t + f), f)
-                for (ta, _, fa), (tb, _, fb) in pairs for t, f in [(join(fa, tb), meet(ta, fb))]]
+        return _widened([(join(fa, tb), meet(ta, fb)) for (ta, _, fa), (tb, _, fb) in pairs])
     if kind is SystemKind.NS:
         return [(join(fa, tb), meet(1 - ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
     return [(join(fa, tb), meet(ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
@@ -223,6 +234,25 @@ def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: Over
     if rule is OverflowRule.OUTPUT:
         return (t / joined_sum, i_joined / joined_sum, f / joined_sum)
     return (t / joined_sum, i_met / joined_sum, f / joined_sum)
+
+
+def _closed(rows: list, sys: OperatorSystem) -> list:
+    """``rows`` with each row outside the system's family rescaled onto its bound by its own sum.
+
+    IIFS rows take the ``OUTPUT`` overflow rule; an IFS row scales T and F by T + F and is widened again.
+    """
+    family = _OPERAND_FAMILY[sys.system]
+    out = []
+    for row in rows:
+        if _first_outside([row], family) >= 0:
+            t, i, f = row
+            if sys.system is SystemKind.IFS:
+                s = 0 + t + f
+                row = _widened([(t / s, f / s)])[0]
+            else:
+                row = _restore_sum_bound(t, i, i, f, OverflowRule.OUTPUT)
+        out.append(row)
+    return out
 
 
 class Op(Enum):
@@ -246,11 +276,13 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
     """Apply an operator elementwise across sets sharing a universe.
 
     ``NOT`` is unary and ignores ``b_set``. Operands are checked against
-    the system's family unless their set's family lies inside it; the
-    result is tagged with the system's family and checked under it, and a
-    result element outside it raises naming the operator and the system.
-    Its components are in [0, 1] by construction (see the operator bodies),
-    so only the family test runs on them.
+    the system's family unless their set's family lies inside it. The
+    result is tagged with the system's family and holds what the scalar
+    operators give: a row past the family's bound is closed into it, as
+    the module docstring says, so no result element raises. Its components
+    are in [0, 1] by construction (see the operator bodies), so only the
+    family test runs on them, and a second time only when it finds a row
+    to close.
     """
     if op is Op.NOT:
         out = _negate(_operands(a_set, sys), sys)
@@ -262,10 +294,11 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
                 f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
             )
         out = _BINARY[op](_operands(a_set, sys), _operands(b_set, sys), sys)
+    family = system_family(sys)
     try:
-        return LabeledSet._of_ranged(a_set.universe, out, system_family(sys), False)
-    except UsageError as exc:  # the operands' shape is sound, so only the family test fails here
-        raise UsageError(f"the result of {op.value!r} under {sys.system.value} for {exc}") from None
+        return LabeledSet._of_ranged(a_set.universe, out, family, False)
+    except UsageError:  # the operands' shape is sound, so only the family test fails here: a row to close
+        return LabeledSet._of_ranged(a_set.universe, _closed(out, sys), family, False)
 
 
 def system_family(sys: OperatorSystem) -> FamilySpec:

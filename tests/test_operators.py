@@ -201,18 +201,17 @@ EXACT_VALUES = (lambda lo, hi: st.fractions(0, 1, max_denominator=10**4).map(lam
 
 
 @st.composite
-def operand_rows(draw, kind: SystemKind, n: int, band: bool = True) -> list:
+def operand_rows(draw, kind: SystemKind, n: int) -> list:
     """``n`` valid operand rows for ``kind``, all floats or all Fractions, drawn so that none is rejected.
 
     Anywhere in the cube under NS. Otherwise T, then F in [0, 1 - T + d]
-    (at most 1), where d is just inside the tolerance, or 0 without
-    ``band``; then I is what they leave, moved by up to the tolerance and
-    kept in [0, 1], under IFS, and anything in [0, 1 - T - F + d] (at
-    most 1) under IIFS. So the sums the operand check allows only within tolerance
-    (T + F under IFS, T + I + F under IIFS, up to 1 + d) are drawn too.
+    (at most 1), where d is just inside the tolerance; then I is what they
+    leave, moved by up to the tolerance and kept in [0, 1], under IFS, and
+    anything in [0, 1 - T - F + d] (at most 1) under IIFS. So the sums the
+    operand check allows only within tolerance (T + F under IFS, T + I + F
+    under IIFS, up to 1 + d) are drawn too.
     """
-    values, near = draw(st.sampled_from([FLOAT_VALUES, EXACT_VALUES]))
-    d = near if band else 0
+    values, d = draw(st.sampled_from([FLOAT_VALUES, EXACT_VALUES]))
     rows = []
     for _ in range(n):
         if kind is SystemKind.NS:
@@ -222,7 +221,7 @@ def operand_rows(draw, kind: SystemKind, n: int, band: bool = True) -> list:
         f = draw(values(0, min(1 - t + d, 1)))
         rest = 1 - t - f
         if kind is SystemKind.IFS:
-            i = min(max(rest + draw(st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1])) * near, 0), 1)
+            i = min(max(rest + draw(st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1])) * d, 0), 1)
         else:
             i = draw(values(0, min(max(rest + d, 0), 1)))
         rows.append((t, i, f))
@@ -232,14 +231,10 @@ def operand_rows(draw, kind: SystemKind, n: int, band: bool = True) -> list:
 ifs_operands = operand_rows(SystemKind.IFS, 1).map(lambda rows: Triplet(*rows[0]))
 IFS_PRODUCT = OperatorSystem(SystemKind.IFS, PRODUCT_NORMS)
 #: Valid only within tolerance: T + F passes 1 by almost all of it. The probsum of two such F's (conjunction),
-#: or of two such T's (disjunction, and implication of HIGH_T by HIGH_F), passes 1 by almost twice the tolerance.
+#: or of two such T's (disjunction, and implication of HIGH_T by HIGH_F), passes 1 by almost twice the tolerance,
+#: so under product/probsum the result is closed into the family.
 HIGH_T = Triplet(1.0, 0.0, FLOAT_VALUES[1])
 HIGH_F = Triplet(FLOAT_VALUES[1], 0.0, 1.0)
-#: Operands valid only within tolerance make product/probsum results leave their family (ROADMAP item 3).
-BAND_FAILURE = pytest.mark.xfail(
-    strict=True, raises=(AssertionError, UsageError),
-    reason="probsum of operands valid only within tolerance can pass the sum bound by twice the tolerance",
-)
 
 
 def assert_middle_slot_is_the_hesitancy(a: Triplet, b: Triplet, sys: OperatorSystem) -> None:
@@ -248,7 +243,7 @@ def assert_middle_slot_is_the_hesitancy(a: Triplet, b: Triplet, sys: OperatorSys
 
 
 class TestIfsMiddleSlotIsTheHesitancy:
-    @pytest.mark.parametrize("sys", [IFS, pytest.param(IFS_PRODUCT, marks=BAND_FAILURE)])
+    @pytest.mark.parametrize("sys", [IFS, IFS_PRODUCT])
     @settings(max_examples=300)
     @given(ifs_operands, ifs_operands)
     @example(SKEWED_IFS, SKEWED_IFS)
@@ -257,9 +252,45 @@ class TestIfsMiddleSlotIsTheHesitancy:
         assert_middle_slot_is_the_hesitancy(a, b, sys)
 
     @settings(max_examples=300)
-    @given(*[operand_rows(SystemKind.IFS, 1, band=False).map(lambda rows: Triplet(*rows[0]))] * 2)
+    @given(*[ifs_operands.filter(lambda x: x.f <= 1 - x.t)] * 2)
     def test_product_probsum_leaves_it_for_operands_inside_the_exact_bound(self, a, b):
         assert_middle_slot_is_the_hesitancy(a, b, IFS_PRODUCT)
+
+
+#: HIGH_T and HIGH_F in Fractions: T + F = 1 + D, three quarters of the tolerance past the bound.
+D = Fraction(3, 4 * 10**9)
+EXACT_HIGH_T = Triplet(Fraction(1), Fraction(0), D)
+EXACT_HIGH_F = Triplet(D, Fraction(0), Fraction(1))
+#: The probsum of two D's, and the sum 1 + P a result with it and a 1 rescales by.
+P = D + D - D * D
+S = 1 + P
+
+
+class TestBandResultsClose:
+    """Under product/probsum, a result past the sum bound is rescaled onto it by its own sum, exactly.
+
+    Each case's probsum passes 1 by P, past the tolerance, so the closed
+    result is the exact (1, 0, P) or (P, 0, 1) over 1 + P. Under IFS its
+    middle slot is the hesitancy again; IIFS-max conjunction restores the
+    bound itself, by the same rule under the default overflow.
+    """
+
+    @pytest.mark.parametrize("kind", [kind for kind in SystemKind if kind is not SystemKind.NS])
+    @pytest.mark.parametrize("op, a, b, want", [
+        (Op.AND, EXACT_HIGH_T, EXACT_HIGH_T, (1 / S, Fraction(0), P / S)),
+        (Op.OR, EXACT_HIGH_F, EXACT_HIGH_F, (P / S, Fraction(0), 1 / S)),
+        (Op.IMPLIES, EXACT_HIGH_T, EXACT_HIGH_F, (P / S, Fraction(0), 1 / S)),
+    ])
+    def test_exact_closed_values(self, kind, op, a, b, want):
+        sys = OperatorSystem(kind, PRODUCT_NORMS)
+        got = SCALAR_OPS[op](a, b, sys)
+        assert [(type(v), v) for v in got.components()] == [(Fraction, v) for v in want]
+        assert sum(want) == 1
+        if kind is SystemKind.IFS:
+            assert got.i == hesitancy(Pair.from_triplet(got), FamilySpec(FamilyKind.IFS)).v
+        family = operators.system_family(sys)
+        a_set, b_set = (LabeledSet(("x",), [x], family) for x in (a, b))
+        assert typed(setwise(a_set, b_set, op, sys)) == [[(Fraction, repr(v)) for v in want]]
 
 
 #: Every family whose elements can be triplets, IFS through its sum-1 triplets.
@@ -569,7 +600,10 @@ class TestSetwise:
 
 
 class TestOneFamilyTestPerSet:
-    """Every way into a set runs the family test once, on the whole set, in the builder."""
+    """Every way into a set runs the family test once, on the whole set, in the builder.
+
+    A ``setwise`` result with a row past the bound runs it a second time, on the closed rows.
+    """
 
     @pytest.fixture
     def tested(self, monkeypatch) -> list:
@@ -603,7 +637,7 @@ class TestOneFamilyTestPerSet:
         assert tested == [FamilyKind.IIFS]
 
     @pytest.mark.parametrize("op", list(Op))
-    @pytest.mark.parametrize("sys", [NS, MINI, IFS])
+    @pytest.mark.parametrize("sys", [NS, MINI, IFS, IFS_PRODUCT])
     def test_setwise(self, tested, op, sys):
         ifs = FamilySpec(FamilyKind.IFS)
         a = LabeledSet.from_mapping({"x1": (0.3, 0.0, 0.7), "x2": (1, 0, 0)}, ifs)
@@ -611,6 +645,15 @@ class TestOneFamilyTestPerSet:
         tested.clear()
         setwise(a, b, op, sys)
         assert tested == [operators.system_family(sys).kind]
+
+    @pytest.mark.parametrize("op, a, b", [(Op.AND, HIGH_T, HIGH_T), (Op.OR, HIGH_F, HIGH_F),
+                                          (Op.IMPLIES, HIGH_T, HIGH_F), (Op.NOT, HIGH_T, HIGH_T)])
+    def test_a_result_to_close_is_tested_again(self, tested, op, a, b):
+        ifs = FamilySpec(FamilyKind.IFS)
+        a_set, b_set = (LabeledSet(("x1", "x2"), [A1, x], ifs) for x in (a, b))
+        tested.clear()
+        setwise(a_set, b_set, op, IFS_PRODUCT)
+        assert tested == [FamilyKind.IFS] * (1 if op is Op.NOT else 2)
 
     def test_the_transforms(self, tested):
         s = TestSetwise.A
@@ -724,10 +767,7 @@ class TestSetsAgreeWithScalars:
                         out = [negate(x, sys) for x in a.triplets]
                     else:
                         out = [SCALAR_OPS[op](x, y, sys) for x, y in zip(a.triplets, b.triplets)]
-                    try:
-                        return LabeledSet(names, out, operators.system_family(sys))
-                    except UsageError as exc:
-                        raise UsageError(f"the result of {op.value!r} under {sys.system.value} for {exc}") from None
+                    return LabeledSet(names, out, operators.system_family(sys))
 
                 want, got = outcome(scalar), outcome(lambda: setwise(a, b, op, sys))
                 if isinstance(want, Exception):
@@ -1013,19 +1053,12 @@ MIN_PROBSUM = TestNormPairsThatDoNotClose.MIN_PROBSUM
 NORM_PAIRS = [NormPair(tnorm, tconorm) for tnorm in TNorm for tconorm in TConorm]
 
 
-#: The accepted systems where results of operands valid only within tolerance leave the family (BAND_FAILURE).
-BAND_FAILURES = {(kind, PRODUCT_NORMS) for kind in SystemKind if kind is not SystemKind.NS}
-
-
 class TestOneOperatorContract:
     """4 systems x 4 norm pairs x AND/OR/IMPLIES/NOT: an accepted system keeps valid operands' results in its
     family, and its scalar and ``setwise`` results are equal. The refused ones raise at construction
     (``TestNormPairsThatDoNotClose``).
 
-    Operands are drawn from the whole valid domain, the tolerance band
-    included, but for the systems in ``BAND_FAILURES``: there the band is
-    pinned by the strict xfails of ``test_band_operands_close``, and the
-    drawn operands meet the exact bound.
+    Operands are drawn from the whole valid domain, the tolerance band included.
     """
 
     @pytest.mark.parametrize("kind, norms", [(kind, norms) for kind in SystemKind for norms in NORM_PAIRS
@@ -1037,8 +1070,7 @@ class TestOneOperatorContract:
         family = operators.system_family(sys)
         n = data.draw(st.integers(1, 3))
         names = tuple(f"x{k}" for k in range(n))
-        band = (kind, norms) not in BAND_FAILURES
-        a, b = (LabeledSet(names, [Triplet(*row) for row in data.draw(operand_rows(kind, n, band))], family)
+        a, b = (LabeledSet(names, [Triplet(*row) for row in data.draw(operand_rows(kind, n))], family)
                 for _ in range(2))
         for op in Op:
             if op is Op.NOT:
@@ -1051,14 +1083,13 @@ class TestOneOperatorContract:
             assert typed(got) == [[(type(v), repr(v)) for v in r.components()] for r in want], op
 
     @pytest.mark.parametrize("kind, norms, op", [
-        pytest.param(kind, norms, op, marks=[BAND_FAILURE] if (kind, norms) in BAND_FAILURES
-                     and (kind, op) != (SystemKind.IIFS_MAX_I, Op.AND) else [])
+        (kind, norms, op)
         for kind in SystemKind if kind is not SystemKind.NS
         for norms in NORM_PAIRS if norms != MIN_PROBSUM
         for op in SCALAR_OPS
     ])
     def test_band_operands_close(self, kind, norms, op):
-        """IIFS-max conjunction renormalises what passes the bound, so it closes under product/probsum too."""
+        """Under product/probsum these results pass the bound and are closed into the family."""
         sys = OperatorSystem(kind, norms)
         a, b = {Op.AND: (HIGH_T, HIGH_T), Op.OR: (HIGH_F, HIGH_F), Op.IMPLIES: (HIGH_T, HIGH_F)}[op]
         want = SCALAR_OPS[op](a, b, sys)

@@ -227,11 +227,14 @@ class TestChunkedCounting:
     def test_a_failing_chunk_raises_and_stops_the_others(self, monkeypatch):
         count = _kernels.count_satisfying
         running = set(threading.enumerate())
+        main_started = threading.Event()
         main_blocks = []
 
         def fail_in_workers(block, *args):
             if threading.current_thread() is not threading.main_thread():
+                main_started.wait(timeout=10)  # fail only once chunk 0 is past its first stop check
                 raise ZeroDivisionError("chunk 1")
+            main_started.set()
             for t in set(threading.enumerate()) - running:  # let the failing worker finish first
                 t.join(timeout=10)
                 assert not t.is_alive()
