@@ -161,12 +161,14 @@ def _cmd_op(args) -> int:
 
     sys_ = _system_from_args(args)
     op = Op(args.op)
+    if op is Op.NOT and args.b is not None:
+        raise UsageError(f"operator 'not' takes one operand file, got a second: {args.b!r}")
+    if op is not Op.NOT and not args.b:
+        raise UsageError(f"operator {op.value!r} needs a second operand file")
     set_a = documents.load(args.a).to_labeled_set()
     set_b = None
     digest_b = None
     if op is not Op.NOT:
-        if not args.b:
-            raise UsageError(f"operator {op.value!r} needs a second operand file")
         set_b = documents.load(args.b).to_labeled_set()
         digest_b = _digest(args.b)
     result = setwise(set_a, set_b, op, sys_)

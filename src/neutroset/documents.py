@@ -17,12 +17,11 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, sup_of
+from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, as_component
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
     ValidationReport,
-    _coerce_components,
     _component_limit,
     _first_outside,
     _widened,
@@ -41,7 +40,11 @@ _NUMBER_TYPES = frozenset({int, float})
 
 @dataclass(frozen=True)
 class ElementSetDocument:
-    """Parsed document: family spec, ordered universe, per-element component tuples."""
+    """Parsed document: family spec, ordered universe, per-element component tuples.
+
+    Each component is a real number: an int or a float as :func:`loads` gives
+    it, or an exact one such as a Fraction in a document built in code.
+    """
 
     family: FamilySpec
     universe: tuple[str, ...]
@@ -51,27 +54,22 @@ class ElementSetDocument:
 
     def to_labeled_set(self) -> LabeledSet:
         """The set of these elements; a component outside [0, 1], which no set holds, names its element."""
-        try:
-            return self._labeled_set()
-        except ComponentRangeError as exc:
-            name = self.universe[_first_out_of_range(self.components, 1)]
-            raise DocumentError(f"element {name!r} cannot form a set: {exc}") from None
-
-    def _labeled_set(self) -> LabeledSet:
         from neutroset.transforms import LabeledSet  # here, so that loading and validating a document skip it
 
-        family = self.family
-        if family.arity == 3:
-            if self.checked and not family.kind.row.extended:  # loads range-checked the rows to [0, 1]
-                return LabeledSet._of_ranged(self.universe, self.components, family, False)
-            return LabeledSet._of_rows(self.universe, self.components, family)
-        if family.kind is not FamilyKind.IFS:
+        family, rows = self.family, self.components
+        if family.arity == 2 and family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs widen into a set")
-        pairs = self.components
-        if not self.checked:  # each component a unit value, an interval by its supremum
-            pairs = [map(sup_of, _coerce_components(row, 2, family.component_cap, family)) for row in pairs]
-        # an IFS pair is the sum-1 triplet embed_into_ns widens it to
-        return LabeledSet._of_ranged(self.universe, _widened(pairs), family, False)
+        if not self.checked or family.kind.row.extended:  # loads range-checked no other rows to [0, 1]
+            k = _first_out_of_range(rows, 1)
+            if k < len(rows):
+                try:
+                    for v in rows[k]:
+                        as_component(v)
+                except ComponentRangeError as exc:
+                    raise DocumentError(f"element {self.universe[k]!r} cannot form a set: {exc}") from None
+        if family.arity == 2:  # an IFS pair is the sum-1 triplet embed_into_ns widens it to
+            rows = _widened(rows)
+        return LabeledSet._of_ranged(self.universe, tuple(map(tuple, rows)), family, False)
 
 
 def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:

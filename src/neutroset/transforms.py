@@ -36,7 +36,10 @@ class LabeledSet:
     """An ordered universe of named elements with one triplet each, tagged by family.
 
     ``rows`` holds each element as the tuple ``Triplet.components()`` gives;
-    ``triplets`` is a view of the rows, built when first read.
+    ``triplets`` is a view of the rows, built when first read. A set has two
+    builders: the constructor over Triplets, which have range-checked their
+    components, and ``_of_ranged`` over rows whose components are known to be
+    in range. Both test every row against the family.
     """
 
     universe: tuple[str, ...]
@@ -51,17 +54,11 @@ class LabeledSet:
         self.__dict__["triplets"] = triplets  # the view, already at hand
 
     @classmethod
-    def _of_rows(cls, universe, rows, family: FamilySpec) -> "LabeledSet":
-        """A set of raw rows, checked as ``LabeledSet(universe, [Triplet(*row) ...], family)`` checks them."""
-        rows, has_intervals = _ranged(rows)
-        return cls._of_ranged(universe, rows, family, has_intervals)
-
-    @classmethod
     def _of_ranged(cls, universe, rows, family: FamilySpec, has_intervals: bool) -> "LabeledSet":
         """A set of rows as ``Triplet.components()`` gives them, each component known to be in range.
 
         ``has_intervals`` tells whether any row holds an interval. The shape is checked, then the rows
-        against ``family``, with the errors raw rows raise.
+        against ``family``, with the errors the constructor raises.
         """
         s = object.__new__(cls)
         s._build(universe, rows, family, has_intervals)
@@ -124,27 +121,6 @@ def _components(t) -> tuple:
     if not isinstance(t, Triplet):
         raise UsageError(f"set elements must be Triplets, got {type(t).__name__}")
     return t.components()
-
-
-def _ranged(rows) -> tuple[list, bool]:
-    """Raw rows range-checked as ``Triplet(*row).components()`` checks them, and whether any holds an interval.
-
-    Each row comes back a tuple, a list row too, so the set hashes.
-    """
-    ranged = []
-    append = ranged.append
-    has_intervals = False
-    for row in rows:
-        if len(row) == 3:
-            t, i, f = row
-            # floats in [0, 1], which Triplet keeps as they are
-            if type(t) is type(i) is type(f) is float and 0 <= t <= 1 and 0 <= i <= 1 and 0 <= f <= 1:
-                append((t, i, f))
-                continue
-        row = Triplet(*row).components()
-        has_intervals = has_intervals or any(isinstance(c, IntervalValue) for c in row)
-        append(row)
-    return ranged, has_intervals
 
 
 def _scalars(row: tuple) -> tuple:

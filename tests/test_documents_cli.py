@@ -483,12 +483,13 @@ class TestExactTypes:
         text = json.dumps({"format_version": 1, "family": family, "universe": ["e"], "elements": {"e": [0.5, 0.5]}})
         doc = documents.loads(text, validate_elements)
 
-        def embedded(*args):
-            raise AssertionError("a row was embedded")
+        def read(*args):
+            raise AssertionError("a row was read")
 
         # the family is refused before any row is read, checked or widened
-        monkeypatch.setattr(families, "_embedded_row", embedded)
-        monkeypatch.setattr(documents, "_coerce_components", embedded)
+        monkeypatch.setattr(families, "_embedded_row", read)
+        monkeypatch.setattr(documents, "_first_out_of_range", read)
+        monkeypatch.setattr(documents, "_widened", read)
         described = doc.family.describe()
         with pytest.raises(UsageError, match=rf"^{re.escape(described)} elements are pairs; only IFS pairs widen"):
             doc.to_labeled_set()
@@ -618,6 +619,13 @@ class TestMalformedCalls:
         err = self._one_line_error(["refined", "--kind", "RBOGUS", "--t", "0.2"], capsys)
         kinds = "['rfs', 'rifs', 'riifs', 'rnhsns', 'rns', 'rpyfs', 'rqrofs', 'rsfs']"
         assert err == f"error: unknown refined kind 'RBOGUS'; choose from {kinds}\n"
+
+    def test_operand_files_match_the_operator(self, doc_paths, capsys):
+        a, b = map(str, doc_paths)
+        err = self._one_line_error(["op", "--op", "not", a, b], capsys)
+        assert err == f"error: operator 'not' takes one operand file, got a second: {b!r}\n"
+        err = self._one_line_error(["op", "--op", "and", a], capsys)
+        assert err == "error: operator 'and' needs a second operand file\n"
 
     def test_system_and_refined_kind_ignore_case(self, doc_paths, capsys):
         assert cli.main(["op", "--op", "not", str(doc_paths[0]), "--system", "nS"]) == 0

@@ -605,17 +605,22 @@ class TestOneFamilyTestPerSet:
     A ``setwise`` result with a row past the bound runs it a second time, on the closed rows.
     """
 
-    @pytest.fixture
-    def tested(self, monkeypatch) -> list:
-        """The family of each set the builder tests, one entry per call of the bound test."""
+    @staticmethod
+    def count_bound_tests(monkeypatch, module) -> list:
+        """The family of each call ``module`` makes of the bound test."""
         calls = []
 
         def counted(rows, family):
             calls.append(family.kind)
             return _first_outside(rows, family)
 
-        monkeypatch.setattr(transforms, "_first_outside", counted)
+        monkeypatch.setattr(module, "_first_outside", counted)
         return calls
+
+    @pytest.fixture
+    def tested(self, monkeypatch) -> list:
+        """The family of each set the builder tests, one entry per call of the bound test."""
+        return self.count_bound_tests(monkeypatch, transforms)
 
     @pytest.mark.parametrize("kind, elements", [
         ("NS", {"x1": [0.8, 0.3, 0.5], "x2": [1, 1, 1]}),
@@ -624,13 +629,15 @@ class TestOneFamilyTestPerSet:
         ("IFS", {"x1": [0.3, 0.7], "x2": [0.2, 0.5]}),
     ])
     @pytest.mark.parametrize("validate_elements", [True, False])
-    def test_documents(self, tested, kind, elements, validate_elements):
+    def test_documents(self, tested, monkeypatch, kind, elements, validate_elements):
+        loaded = self.count_bound_tests(monkeypatch, documents)
         text = json.dumps({"format_version": 1, "family": {"kind": kind}, "universe": list(elements),
                            "elements": elements})
         doc = documents.loads(text, validate_elements)
-        assert tested == []  # loads checks a document, not a set
+        # loads tests the document once when it validates it, and no set
+        assert (tested, loaded) == ([], [FamilyKind(kind)] * validate_elements)
         doc.to_labeled_set()
-        assert tested == [FamilyKind(kind)]
+        assert (tested, loaded) == ([FamilyKind(kind)], [FamilyKind(kind)] * validate_elements)
 
     def test_the_constructor(self, tested):
         LabeledSet(("x1", "x2"), [A1, A2], FamilySpec(FamilyKind.IIFS))
@@ -662,6 +669,38 @@ class TestOneFamilyTestPerSet:
         tested.clear()
         normalize_elementwise(s)
         assert tested == [FamilyKind.IFS]
+
+
+class TestOneRangePassPerDocument:
+    """A document's components meet one range pass on their way to a set; checked SNS and NHSNS ones meet two.
+
+    ``to_labeled_set`` trusts the pass of ``loads`` for a family capped at 1;
+    it checks every other document's components to [0, 1] itself.
+    """
+
+    @pytest.mark.parametrize("family, elements, set_passes", [
+        ({"kind": "NS"}, {"x1": [0.8, 0.3, 0.5], "x2": [1, 1, 1]}, 0),
+        ({"kind": "IIFS"}, {"x1": [0.2, 0.3, 0.4], "x2": [0.5, 0.1, 0.1]}, 0),
+        ({"kind": "IFS"}, {"x1": [0.3, 0.7], "x2": [0.2, 0.5]}, 0),
+        ({"kind": "SNS"}, {"x1": [0.9, 0.9, 0.9], "x2": [0.5, 0.5, 0.5]}, 1),
+        ({"kind": "NHSNS", "exponent": 2}, {"x1": [0.9, 0.9, 0.9], "x2": [0.5, 0.5, 0.5]}, 1),
+    ])
+    @pytest.mark.parametrize("validate_elements", [True, False])
+    def test_documents(self, monkeypatch, family, elements, set_passes, validate_elements):
+        passes = []
+
+        def counted(rows, limit):
+            passes.append(limit)
+            return first_out_of_range(rows, limit)
+
+        first_out_of_range = documents._first_out_of_range
+        monkeypatch.setattr(documents, "_first_out_of_range", counted)
+        text = json.dumps({"format_version": 1, "family": family, "universe": list(elements), "elements": elements})
+        doc = documents.loads(text, validate_elements)
+        assert len(passes) == validate_elements
+        passes.clear()
+        doc.to_labeled_set()
+        assert passes == [1] * (set_passes if validate_elements else 1)
 
 
 #: One component of every type an operand may carry: floats (-0.0 among them), ints and Fractions.
@@ -777,27 +816,6 @@ class TestSetsAgreeWithScalars:
                 assert typed(got) == typed(want), (sys, op)
                 assert got.triplets == want.triplets
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(*[st.one_of(mixed_components, st.sampled_from(
-                [-0.1, 1.5, Fraction(3, 2), float("nan"), float("inf"), True, "x", None,
-                 IntervalValue(0.25, 0.25), IntervalValue(0.1, 0.3), UnitValue(0.75)]))] * 3),
-            min_size=1, max_size=4,
-        ),
-        st.sampled_from([FamilyKind.NS, FamilyKind.IIFS, FamilyKind.IFS, FamilyKind.SFS, FamilyKind.PYFS]),
-    )
-    def test_rows_are_checked_as_triplets_and_a_set_check_them(self, rows, kind):
-        names = tuple(f"x{k}" for k in range(len(rows)))
-        family = FamilySpec(kind)
-        want = outcome(lambda: LabeledSet(names, [Triplet(*row) for row in rows], family))
-        got = outcome(lambda: LabeledSet._of_rows(names, rows, family))
-        if isinstance(want, Exception):
-            assert (type(got), str(got)) == (type(want), str(want))
-            return
-        assert got == want and hash(got) == hash(want)
-        assert typed(got) == typed(want)
-
 
 # The per-element checks the one-pass set checks replaced, kept as their oracle. Component sums run
 # left to right from 0, as builtin ``sum`` adds floats up to Python 3.11.
@@ -815,7 +833,7 @@ def divide(c, d):
 
 
 def rows_one_by_one(names, rows, family: FamilySpec) -> list:
-    """``LabeledSet._of_rows``, element by element: every row through ``Triplet``, then each through ``admits``."""
+    """A set of raw rows, element by element: every row through ``Triplet``, then each through ``admits``."""
     triplets = [Triplet(*row) for row in rows]
     for name, x in zip(names, triplets):
         if not admits(x, family):
@@ -916,11 +934,10 @@ class TestOnePassAgreesWithOneByOne:
     # sum-1 triplets stand in only for IFS pairs
     @example([(0.25, 0.5, 0.25)], FamilyKind.PYFS)
     @example([(0.25, 0.5, 0.25)], FamilyKind.FS)
-    def test_sets_of_rows(self, rows, kind):
+    def test_sets_from_raw_rows(self, rows, kind):
         names = tuple(f"x{k}" for k in range(len(rows)))
         family = FamilySpec(kind)
         want = outcome(lambda: rows_one_by_one(names, rows, family))
-        same_outcome(outcome(lambda: LabeledSet._of_rows(names, rows, family).rows), want)
         same_outcome(outcome(lambda: LabeledSet(names, [Triplet(*row) for row in rows], family).rows), want)
 
     @settings(max_examples=300, deadline=None)
@@ -958,12 +975,10 @@ class TestOnePassAgreesWithOneByOne:
             self.check_transforms(s)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 5).flatmap(mixed_rows), st.booleans())
-    def test_transforms(self, rows, from_rows):
+    @given(st.integers(1, 5).flatmap(mixed_rows))
+    def test_transforms(self, rows):
         names = tuple(f"x{k}" for k in range(len(rows)))
-        ns = FamilySpec(FamilyKind.NS)
-        s = LabeledSet._of_rows(names, rows, ns) if from_rows else LabeledSet(names, [Triplet(*r) for r in rows], ns)
-        self.check_transforms(s)
+        self.check_transforms(LabeledSet(names, [Triplet(*r) for r in rows], FamilySpec(FamilyKind.NS)))
 
     @staticmethod
     def check_transforms(s: LabeledSet) -> None:
@@ -1026,7 +1041,7 @@ class TestTrustIsOnlyAShortCut:
             rows = doc.components
         else:
             rows = [embed_into_ns(row, family).components() for row in doc.components]
-        want = named_range_error(doc, outcome(lambda: LabeledSet._of_rows(doc.universe, rows, family)))
+        want = named_range_error(doc, outcome(lambda: LabeledSet(doc.universe, [Triplet(*r) for r in rows], family)))
         got = outcome(doc.to_labeled_set)
         if isinstance(want, Exception) or isinstance(got, Exception):
             assert (type(got), str(got)) == (type(want), str(want))
@@ -1127,8 +1142,8 @@ def assert_in_range(s: LabeledSet) -> None:
 
 
 def assert_full_range_pass_agrees(s: LabeledSet) -> None:
-    """``s`` is the set the full range pass builds from its rows."""
-    want = LabeledSet._of_rows(s.universe, s.rows, s.family)
+    """``s`` is the set the constructor builds from its rows, each range-checked as a ``Triplet``."""
+    want = LabeledSet(s.universe, [Triplet(*row) for row in s.rows], s.family)
     assert s == want and hash(s) == hash(want)
     assert typed(s) == typed(want)
     assert s._has_intervals is want._has_intervals
@@ -1139,7 +1154,7 @@ class TestResultsStayInRange:
 
     Whatever the operand types (floats, ints and Fractions mixed), every
     result component is a real number in [0, 1], and the set built from the
-    results equals the one the full range pass builds from the same rows.
+    results equals the one the constructor builds from the same rows as Triplets.
     """
 
     @pytest.mark.parametrize("sys", [OperatorSystem(kind, norms, overflow)
@@ -1158,7 +1173,7 @@ class TestResultsStayInRange:
     def test_operator_results(self, sys, rows):
         names = tuple(f"x{k}" for k in range(len(rows[0])))
         family = operators.system_family(sys)
-        a, b = (LabeledSet._of_rows(names, [shaped(row, sys.system) for row in side], family) for side in rows)
+        a, b = (LabeledSet(names, [Triplet(*shaped(row, sys.system)) for row in side], family) for side in rows)
         for op in Op:
             result = setwise(a, b, op, sys)
             assert_in_range(result)
@@ -1169,7 +1184,7 @@ class TestResultsStayInRange:
     @example([(IntervalValue(0.25, 1.0), ONE_BELOW, 2.0**-53), (1, Fraction(1, 3), IntervalValue(0, 0))])
     def test_transform_results(self, rows):
         names = tuple(f"x{k}" for k in range(len(rows)))
-        s = LabeledSet._of_rows(names, rows, FamilySpec(FamilyKind.NS))
+        s = LabeledSet(names, [Triplet(*row) for row in rows], FamilySpec(FamilyKind.NS))
         sup = outcome(lambda: sup_transform(s).labeled)
         results = [sup, outcome(lambda: normalize_elementwise(s))]
         if isinstance(sup, LabeledSet):
