@@ -1,4 +1,6 @@
 import math
+import numbers
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +16,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    as_component,
     dependence_sum_bound,
     leftover,
     make_unit,
@@ -21,7 +24,8 @@ from neutroset.core import (
     sums_to_one,
     within,
 )
-from neutroset.families import FAMILY_TABLE
+from neutroset.families import FAMILY_TABLE, FamilyKind, FamilySpec, ValidationReport, validate
+from neutroset.indeterminacy import NeutrosophicNumber
 from neutroset.refined import RefinedKind
 
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -238,3 +242,125 @@ class TestLeftover:
     def test_what_a_sum_below_1_leaves(self, total, x):
         got = leftover(total)
         assert got == x and type(got) is type(x)
+
+
+OUT = "ComponentRangeError: component value {v!r} outside permitted range"
+NOT_FINITE = "ComponentRangeError: component value {v!r} is not finite"
+SNS_OUT = "ComponentRangeError: component {v!r} outside [0, 1.73205]"
+NOT_REAL = "UsageError: expected a real number, got {t}"
+NS = FamilySpec(FamilyKind.NS)
+SNS = FamilySpec(FamilyKind.SNS)
+
+#: What as_component, UnitValue, validate((v, 0, 0), NS) and validate((v, 0, 0), SNS) give for each edge value.
+#: An error shows as its type and text, with ``{v!r}`` and ``{t}`` standing for the value's repr and type name,
+#: which differ between numpy versions.
+EDGE_TABLE = [
+    (0, "int 0", "UnitValue int 0",
+     "True int 0; NS: constraint value 0 vs bound 3", "True int 0; SNS: constraint value 0 vs bound 3"),
+    (1, "int 1", "UnitValue int 1",
+     "True int 1; NS: constraint value 1 vs bound 3", "True int 1; SNS: constraint value 1 vs bound 3"),
+    (2, OUT, OUT, OUT, SNS_OUT),
+    (-1, OUT, OUT, OUT, SNS_OUT),
+    (Fraction(1, 2), "Fraction 1/2", "UnitValue Fraction 1/2",
+     "True Fraction 1/2; NS: constraint value 0.5 vs bound 3",
+     "True Fraction 1/4; SNS: constraint value 0.25 vs bound 3"),
+    (Fraction(3, 2), OUT, OUT, OUT, "True Fraction 9/4; SNS: constraint value 2.25 vs bound 3"),
+    (Fraction(-1, 2), OUT, OUT, OUT, SNS_OUT),
+    (-0.0, "float -0.0", "UnitValue float -0.0",
+     "True float 0.0; NS: constraint value 0 vs bound 3", "True float 0.0; SNS: constraint value 0 vs bound 3"),
+    (math.nan, NOT_FINITE, NOT_FINITE, NOT_FINITE, SNS_OUT),
+    (math.inf, NOT_FINITE, NOT_FINITE, NOT_FINITE, SNS_OUT),
+    (True, NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+    (False, NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+    (Decimal("0.5"), NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+    ("0.5", NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+    (None, NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+    (np.int64(1), "int64 1", "UnitValue int64 1",
+     "True int64 1; NS: constraint value 1 vs bound 3", "True int64 1; SNS: constraint value 1 vs bound 3"),
+    (np.int64(2), OUT, OUT, OUT, SNS_OUT),
+    (np.uint8(1), "uint8 1", "UnitValue uint8 1",
+     "True uint8 1; NS: constraint value 1 vs bound 3", "True uint8 1; SNS: constraint value 1 vs bound 3"),
+    (np.float64(0.5), "float64 0.5", "UnitValue float64 0.5",
+     "True float64 0.5; NS: constraint value 0.5 vs bound 3",
+     "True float64 0.25; SNS: constraint value 0.25 vs bound 3"),
+    (np.float64("nan"), NOT_FINITE, NOT_FINITE, NOT_FINITE, SNS_OUT),
+    (np.True_, NOT_REAL, NOT_REAL, NOT_REAL, NOT_REAL),
+]
+
+
+def _shown(call, v) -> str:
+    """What ``call(v)`` gives, as text: the value and its type, a report's verdict, or the error's type and text."""
+    try:
+        got = call(v)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(got, UnitValue):
+        return f"UnitValue {type(got.v).__name__} {got.v}"
+    if isinstance(got, ValidationReport):
+        c = got.constraint_value
+        return f"{got.valid} {type(c).__name__} {c}; {got.diagnostics}"
+    return f"{type(got).__name__} {got}"
+
+
+@numbers.Rational.register
+class NegativeDenominator:
+    """A rational held as ``numerator / denominator`` with a negative denominator; it compares by its value."""
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __le__(self, other):
+        return Fraction(self.numerator, self.denominator) <= other
+
+    def __ge__(self, other):
+        return Fraction(self.numerator, self.denominator) >= other
+
+    def __repr__(self):
+        return f"NegativeDenominator({self.numerator}, {self.denominator})"
+
+
+@st.composite
+def signed_fractions(draw):
+    """Fractions p/q with q up to 10**12, p anywhere or next to 0 or to q."""
+    q = draw(st.integers(min_value=1, max_value=10**12))
+    p = draw(st.integers() | st.integers(min_value=-1, max_value=1) | st.integers(min_value=q - 1, max_value=q + 1))
+    return Fraction(p, q)
+
+
+class TestUnitRange:
+    """One unit-range test for every component: what it accepts, and the error it gives otherwise."""
+
+    @pytest.mark.parametrize("row", EDGE_TABLE, ids=[f"{type(r[0]).__name__}-{r[0]!r}" for r in EDGE_TABLE])
+    def test_edge_values(self, row):
+        v, *want = row
+        calls = (as_component, UnitValue, lambda x: validate((x, 0, 0), NS), lambda x: validate((x, 0, 0), SNS))
+        got = [_shown(call, v) for call in calls]
+        assert got == [w.format(v=v, t=type(v).__name__) for w in want]
+
+    @given(st.integers() | signed_fractions() | st.floats())
+    def test_as_component_accepts_exactly_the_unit_interval(self, x):
+        try:
+            got = as_component(x)
+        except ComponentRangeError:
+            assert not 0 <= x <= 1
+        else:
+            assert 0 <= x <= 1 and got is x
+
+    def test_a_rational_with_a_negative_denominator_takes_the_plain_comparison(self):
+        half = NegativeDenominator(-1, -2)  # 1/2, whose numerator and denominator both lie below 0
+        assert as_component(half) is half and UnitValue(half).v is half
+        for v in (NegativeDenominator(-3, -2), NegativeDenominator(1, -2)):
+            with pytest.raises(ComponentRangeError, match=r"^component value NegativeDenominator\("):
+                as_component(v)
+
+    def test_bool_is_refused_after_ints_and_fractions_pass(self):
+        for v in (0, 1, Fraction(1, 2), Fraction(1)):
+            assert as_component(v) is v and UnitValue(v).v is v
+            assert validate((v, 0, 0), NS).valid and validate((v, 0, 0), SNS).valid
+        for b in (True, False, np.True_):
+            for call in (as_component, UnitValue, lambda x: IntervalValue(x, x), lambda x: Triplet(x, 0, 0),
+                         lambda x: validate((x, 0, 0), NS), lambda x: validate((x, 0, 0), SNS)):
+                with pytest.raises(UsageError, match="expected a real number"):
+                    call(b)
+            with pytest.raises(UsageError, match="coefficients must be real numbers"):
+                NeutrosophicNumber(b, 0)
