@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Rational, Real
 
 #: Absolute tolerance for internal equality checks and constraint slack.
 ABS_TOL = 1e-9
@@ -55,8 +55,43 @@ class DocumentError(NeutrosetError, ValueError):
     """Malformed or inconsistent element-set document."""
 
 
+#: The types seen to be ``numbers.Rational``, each recorded once by the first value :func:`_is_real` passes.
+#: A rational with a positive denominator lies in [0, 1] when ``0 <= numerator <= denominator``. bool never
+#: joins. Membership changes what a test costs, never its answer.
+_RATIONAL_TYPES = {int}
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number: a ``numbers.Real`` other than a bool.
+
+    A float, or a value of a type already recorded as rational, answers without an ABC check.
+    """
+    t = type(x)
+    if t is float or t in _RATIONAL_TYPES:
+        return True
+    if t is bool or not isinstance(x, Real):
+        return False
+    if isinstance(x, Rational):
+        _RATIONAL_TYPES.add(t)
+    return True
+
+
+def _in_unit(x: Real) -> bool:
+    """Whether the real number ``x`` lies in [0, 1]; the one unit-range test of every component.
+
+    A rational of a recorded type with a positive denominator compares integers,
+    ``0 <= numerator <= denominator``: the same answer as ``0 <= x <= 1``.
+    Anything else, NaN among it, takes that plain comparison.
+    """
+    if type(x) in _RATIONAL_TYPES:
+        d = x.denominator
+        if d > 0:
+            return 0 <= x.numerator <= d
+    return 0 <= x <= 1
+
+
 def _check_real(x) -> Real:
-    if isinstance(x, bool) or not isinstance(x, Real):
+    if not _is_real(x):
         raise UsageError(f"expected a real number, got {type(x).__name__}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ComponentRangeError(x, f"component value {x!r} is not finite")
@@ -64,7 +99,7 @@ def _check_real(x) -> Real:
 
 
 def _check_unit_range(x: Real) -> Real:
-    if not 0 <= x <= 1:
+    if not _in_unit(x):
         raise ComponentRangeError(x)
     return x
 
@@ -77,8 +112,8 @@ class UnitValue:
 
     def __post_init__(self):
         v = self.v
-        if type(v) is float and 0 <= v <= 1:
-            return  # the common case, as in as_component
+        if type(v) is float and 0 <= v <= 1 or type(v) in _RATIONAL_TYPES and _in_unit(v):
+            return  # the common cases, as in as_component
         _check_unit_range(_check_real(v))
 
     @property
@@ -133,9 +168,18 @@ Component = Real | UnitValue | IntervalValue
 
 
 def as_component(x: Component) -> Real | IntervalValue:
-    """Normalize caller input to a validated raw number or interval."""
+    """Normalize caller input to a validated raw number or interval.
+
+    A float in [0, 1] returns first. Next an int, a Fraction or another
+    rational whose type :func:`_is_real` has recorded returns when
+    :func:`_in_unit` passes it, comparing numerator with denominator. Every
+    other value, NaN, infinities, bools and values out of range among them,
+    takes the full check and its error.
+    """
     if type(x) is float and 0 <= x <= 1:
         return x  # the common case; NaN and infinities fail the range test and take the full check
+    if type(x) in _RATIONAL_TYPES and _in_unit(x):
+        return x
     if isinstance(x, UnitValue):
         return x.v
     if isinstance(x, IntervalValue):
@@ -259,7 +303,6 @@ def dependence_sum_bound(d: Real) -> Real:
     Fully dependent components (d = 1) must sum to at most 1; fully
     independent ones (d = 0) may sum to 2. Linear in between: ``2 - d``.
     """
-    _check_real(d)
-    if not 0 <= d <= 1:
+    if not _in_unit(_check_real(d)):
         raise ComponentRangeError(d, f"dependence degree {d!r} outside [0, 1]")
     return 2 - d

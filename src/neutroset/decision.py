@@ -14,7 +14,7 @@ from enum import Enum
 from numbers import Real
 from typing import Mapping, Sequence
 
-from neutroset.core import DegenerateInputError, UnitValue, UsageError, sums_to_one
+from neutroset.core import DegenerateInputError, UnitValue, UsageError, _is_real, sums_to_one
 
 
 class Verdict(Enum):
@@ -86,7 +86,7 @@ def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -
     """
     totals = {Verdict.ACCEPT: 0.0, Verdict.NONCOMMIT: 0.0, Verdict.REJECT: 0.0}
     for label, size in measures.items():
-        if isinstance(size, bool) or not isinstance(size, Real):
+        if not _is_real(size):
             raise UsageError(f"size of {label!r} must be a real number")
         _check_finite(f"size of {label!r}", (size,))
         if size < 0:
@@ -196,9 +196,9 @@ def n_ways(
 
 def offset_degree(amount: Real, norm: Real) -> float:
     """Membership degree measured against a norm, explicitly allowed outside [0, 1]."""
-    if isinstance(norm, bool) or not isinstance(norm, Real) or not norm > 0:
+    if not _is_real(norm) or not norm > 0:
         raise UsageError(f"norm must be a positive real, got {norm!r}")
-    if isinstance(amount, bool) or not isinstance(amount, Real):
+    if not _is_real(amount):
         raise UsageError(f"amount must be a real number, got {amount!r}")
     _check_finite("norm", (norm,))
     _check_finite("amount", (amount,))

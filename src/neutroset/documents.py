@@ -54,7 +54,7 @@ class ElementSetDocument:
 
     def to_labeled_set(self) -> LabeledSet:
         """The set of these elements; a component outside [0, 1], which no set holds, names its element."""
-        from neutroset.transforms import LabeledSet  # here, so that loading and validating a document skip it
+        from neutroset.transforms import LabeledSet, _check_shape  # here: loading and validating skip it
 
         family, rows = self.family, self.components
         if family.arity == 2 and family.kind is not FamilyKind.IFS:
@@ -62,6 +62,7 @@ class ElementSetDocument:
         if not self.checked or family.kind.row.extended:  # loads range-checked no other rows to [0, 1]
             k = _first_out_of_range(rows, 1)
             if k < len(rows):
+                _check_shape(self.universe, rows)  # the shape first, so that the failing row has a name
                 try:
                     for v in rows[k]:
                         as_component(v)

@@ -29,6 +29,8 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    _in_unit,
+    _is_real,
     as_component,
     leftover,
     sums_to_one,
@@ -119,7 +121,7 @@ class _TableSpec:
             if e is None:
                 raise UsageError(f"{self.kind.value} requires an exponent >= 1")
             # the largest float, not infinity: math.pow cannot take an int exponent beyond it
-            if isinstance(e, bool) or not isinstance(e, Real) or not 1 <= e <= sys.float_info.max:
+            if not _is_real(e) or not 1 <= e <= sys.float_info.max:
                 raise UsageError(f"{self.kind.value} exponent must be a finite real number >= 1, got {e!r}")
         elif e is not None:
             raise UsageError(f"{self.kind.value} takes no exponent parameter")
@@ -215,7 +217,10 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
 
     Under a cap of 1 each component is a unit value as in
     :mod:`neutroset.core`; extended-range families take raw numbers up to
-    their cap. ``spec`` names the family in errors.
+    their cap. Each raw number meets the unit-range test ``core._in_unit``
+    first, which compares an int's or a Fraction's numerator with its
+    denominator; only a number past 1 meets the float limit. ``spec`` names the
+    family in errors.
     """
     if isinstance(components, (Triplet, Pair)):
         parts = components.components()
@@ -231,10 +236,10 @@ def _coerce_components(components, arity: int, cap: float, spec) -> tuple:
     for p in parts:
         if cap == 1.0 or isinstance(p, (UnitValue, IntervalValue)):
             out.append(as_component(p))
-        elif isinstance(p, bool) or not isinstance(p, Real):
+        elif not _is_real(p):
             raise UsageError(f"expected a real number, got {type(p).__name__}")
         # [0, 1] first, inside every cap: an int or Fraction there never meets the float limit
-        elif not (0 <= p <= 1 or 0 <= p <= _component_limit(cap)):
+        elif not (_in_unit(p) or 0 <= p <= _component_limit(cap)):
             raise ComponentRangeError(p, f"component {p!r} outside [0, {cap:.6g}]")
         else:
             out.append(p)

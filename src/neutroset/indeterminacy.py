@@ -22,11 +22,11 @@ from enum import Enum
 from numbers import Real
 from typing import Sequence
 
-from neutroset.core import Triplet, UndefinedOperationError, UsageError
+from neutroset.core import Triplet, UndefinedOperationError, UsageError, _is_real
 
 
 def _check_coeff(x) -> Real:
-    if isinstance(x, bool) or not isinstance(x, Real):
+    if not _is_real(x):
         raise UsageError(f"coefficients must be real numbers, got {type(x).__name__}")
     return x
 
@@ -87,7 +87,7 @@ I = NeutrosophicNumber(0, 1)
 def _coerce_nn(x) -> NeutrosophicNumber:
     if isinstance(x, NeutrosophicNumber):
         return x
-    if isinstance(x, bool) or not isinstance(x, Real):
+    if not _is_real(x):
         raise UsageError(f"cannot treat {type(x).__name__} as a neutrosophic number")
     return NeutrosophicNumber(x, 0)
 

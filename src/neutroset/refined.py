@@ -24,6 +24,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    _is_real,
     as_component,
     inf_of,
     leftover,
@@ -91,7 +92,7 @@ class RefinedComponents:
         for group in (self.t, self.i, self.f):
             for v in group:
                 if not isinstance(v, (UnitValue, IntervalValue)):
-                    if isinstance(v, bool) or not isinstance(v, Real):
+                    if not _is_real(v):
                         raise UsageError(f"expected a real subcomponent, got {type(v).__name__}")
                     if v < 0:
                         raise ComponentRangeError(v, f"subcomponent {v!r} is negative")

@@ -31,6 +31,16 @@ from neutroset.core import (
 from neutroset.families import FamilyKind, FamilySpec, _first_outside, validate
 
 
+def _check_shape(universe: tuple, rows) -> None:
+    """Refuse a universe that does not name each row once: a set's shape, checked before its rows."""
+    if len(universe) != len(rows):
+        raise UsageError(f"{len(universe)} element names but {len(rows)} triplets")
+    if len(set(universe)) != len(universe):
+        raise UsageError("universe contains duplicate element names")
+    if not universe:
+        raise UsageError("universe is empty")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class LabeledSet:
     """An ordered universe of named elements with one triplet each, tagged by family.
@@ -70,12 +80,7 @@ class LabeledSet:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "_has_intervals", has_intervals)
-        if len(self.universe) != len(self.rows):
-            raise UsageError(f"{len(self.universe)} element names but {len(self.rows)} triplets")
-        if len(set(self.universe)) != len(self.universe):
-            raise UsageError("universe contains duplicate element names")
-        if not self.universe:
-            raise UsageError("universe is empty")
+        _check_shape(self.universe, self.rows)
         k = _first_outside(self._sup_rows(), family)
         if k >= 0:
             scalars = tuple(map(float, _scalars(self.rows[k])))

@@ -44,6 +44,8 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # drawn as two integers, in about a third of the time st.fractions takes
 unit_fractions = st.integers(1, 64).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q)))
 small_ints = st.integers(min_value=-9, max_value=9)
+# p/q with any integer p and 1 <= q <= 50: the values st.fractions(max_denominator=50) draws, as two integers
+rationals = st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=50))
 
 PROPERTY_CASES = settings(max_examples=1000)
 
@@ -194,9 +196,9 @@ class TestCriterion6Properties:
 
     @PROPERTY_CASES
     @given(
-        st.builds(NeutrosophicNumber, st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
-        st.builds(NeutrosophicNumber, st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
-        st.builds(NeutrosophicNumber, st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+        st.builds(NeutrosophicNumber, rationals, rationals),
+        st.builds(NeutrosophicNumber, rationals, rationals),
+        st.builds(NeutrosophicNumber, rationals, rationals),
     )
     def test_ring_laws_exact_over_rationals(self, x, y, z):
         assert nn_add(x, y) == nn_add(y, x)

@@ -526,6 +526,13 @@ class TestExactTypes:
             doc.to_labeled_set()
         assert str(caught.value) == "element 'a' cannot form a set: component value 1.2 outside permitted range"
 
+    @pytest.mark.parametrize("late_row", [(2, 0, 0), (0.2, 0, 0)])
+    def test_a_row_past_the_names_is_a_shape_error(self, late_row):
+        """A document built in code with fewer names than rows fails on its shape, in range or not."""
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("a",), ((0.1, 0.2, 0.3), late_row))
+        with pytest.raises(UsageError, match=r"^1 element names but 2 triplets$"):
+            doc.to_labeled_set()
+
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(
             json.dumps(
@@ -915,14 +922,16 @@ report["volume_out"] = volume.getvalue()
 print(json.dumps(report))
 """
 
-#: Runs in a fresh interpreter: one command's exit code, the ``neutroset`` modules it loaded, and whether numpy loaded.
+#: Runs in a fresh interpreter: one command's exit code, the ``neutroset`` modules it loaded, whether numpy
+#: loaded, and which of ``decimal`` and ``fractions`` loaded.
 COMMAND_PROBE = """
 import contextlib, io, json, sys
 import neutroset.cli as cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "neutroset"), "numpy" in sys.modules]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "neutroset"), "numpy" in sys.modules,
+                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
 """
 
 #: Runs in a fresh interpreter: what ``import neutroset`` loads, and how its public names resolve.
@@ -999,12 +1008,14 @@ class TestStartup:
         a, b = doc_paths
         argv = [arg.format(a=a, b=b, grid=grid) for arg in argv]
         want = {"neutroset", "neutroset.core", "neutroset.cli", *(f"neutroset.{m}" for m in modules)}
-        assert run_child(COMMAND_PROBE, json.dumps(argv)) == [0, sorted(want), numpy]
+        # only refined computes with Fractions; fractions loads decimal
+        exact = ["decimal", "fractions"] if command == "refined" else []
+        assert run_child(COMMAND_PROBE, json.dumps(argv)) == [0, sorted(want), numpy, exact]
 
     def test_demo_loads_what_demos_imports(self):
         imports = "import json, sys, neutroset.cli, neutroset.demos; print(json.dumps(sorted(sys.modules)))"
         want = sorted(m for m in run_child(imports) if m.partition(".")[0] == "neutroset")
-        assert run_child(COMMAND_PROBE, json.dumps(["demo", "--all"])) == [0, want, False]
+        assert run_child(COMMAND_PROBE, json.dumps(["demo", "--all"])) == [0, want, False, []]
 
     def test_the_package_loads_each_name_when_first_read(self):
         report = run_child(PACKAGE_PROBE)
