@@ -817,6 +817,44 @@ class TestSetsAgreeWithScalars:
                 assert got.triplets == want.triplets
 
 
+#: Every system the constructor accepts: each kind under each norm pair and overflow rule, less min/probsum.
+ACCEPTED_SYSTEMS = [
+    sys
+    for kind in SystemKind
+    for tnorm in TNorm
+    for tconorm in TConorm
+    for overflow in OverflowRule
+    for sys in [outcome(lambda: OperatorSystem(kind, NormPair(tnorm, tconorm), overflow))]
+    if isinstance(sys, OperatorSystem)
+]
+
+
+class TestImplicationIsNotAOrB:
+    """Implication is the disjunction of the negated first operand, value for value and type for type."""
+
+    def test_every_accepted_system_is_drawn(self):
+        assert len(ACCEPTED_SYSTEMS) == 4 * 4 * 2 - 3 * 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ACCEPTED_SYSTEMS), st.data())
+    def test_scalar_implication(self, sys, data):
+        a, b = (Triplet(*row) for row in data.draw(operand_rows(sys.system, 2)))
+        got, want = implicate(a, b, sys), disjunct(negate(a, sys), b, sys)
+        assert [(type(v), repr(v)) for v in got.components()] == [(type(v), repr(v)) for v in want.components()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ACCEPTED_SYSTEMS), st.integers(1, 5), st.data())
+    def test_set_implication(self, sys, n, data):
+        names = tuple(f"x{k}" for k in range(n))
+        # tagged with the system's family, or with NS so that each operand row is checked as it is read
+        tags = st.sampled_from([operators.system_family(sys), FamilySpec(FamilyKind.NS)])
+        a, b = (LabeledSet(names, [Triplet(*row) for row in data.draw(operand_rows(sys.system, n))], data.draw(tags))
+                for _ in range(2))
+        got = setwise(a, b, Op.IMPLIES, sys)
+        want = setwise(setwise(a, None, Op.NOT, sys), b, Op.OR, sys)
+        assert got == want and typed(got) == typed(want)
+
+
 # The per-element checks the one-pass set checks replaced, kept as their oracle. Component sums run
 # left to right from 0, as builtin ``sum`` adds floats up to Python 3.11.
 
