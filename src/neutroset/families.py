@@ -392,11 +392,6 @@ def embed_into_ns(components, from_family: FamilySpec) -> Triplet:
     over; powered families raise each component to the family exponent.
     Triplet families already inside the neutrosophic cube pass through.
     """
-    return Triplet(*_embedded_row(components, from_family))
-
-
-def _embedded_row(components, from_family: FamilySpec) -> tuple:
-    """The components of :func:`embed_into_ns`'s triplet, each already in [0, 1]."""
     row = from_family._row
     parts = _coerce_components(components, row.arity, from_family.component_cap, from_family)
     if _first_outside([tuple(map(sup_of, parts))], from_family) >= 0:
@@ -404,13 +399,13 @@ def _embedded_row(components, from_family: FamilySpec) -> tuple:
     e = from_family.effective_exponent
     if row.arity == 3 and not row.extended:
         if row.exponent == 1:
-            return parts
-        return tuple(_powered_sum([p], e) for p in parts)
+            return Triplet(*parts)
+        return Triplet(*(_powered_sum([p], e) for p in parts))
     if row.residual == "hesitancy":
         t, f = map(sup_of, parts)
         tp = t if e == 1 else _powered_sum([t], e)
         fp = f if e == 1 else _powered_sum([f], e)
-        return _widened([(tp, fp)])[0]
+        return Triplet(*_widened([(tp, fp)])[0])
     raise UsageError(f"no embedding into NS is defined for {from_family.describe()}")
 
 
@@ -489,18 +484,14 @@ def estimate_family_volume(family: FamilySpec, samples: int, seed: int) -> Volum
     if _admits_unit_cube(family):
         hits = samples  # every sample would hit, so none is drawn
     else:
-        hits = _sampled_hits(family, samples, seed)
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+        hits = _chunked_hits(family, samples, seed, max(1, min(cpus, samples // _SAMPLE_BLOCK)))
     p = hits / samples
     se = math.sqrt(p * (1.0 - p) / samples)
     return VolumeEstimate(estimate=p, std_error=se, samples=samples, seed=seed)
-
-
-def _sampled_hits(family: FamilySpec, samples: int, seed: int) -> int:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return _chunked_hits(family, samples, seed, max(1, min(cpus, samples // _SAMPLE_BLOCK)))
 
 
 def _chunked_hits(family: FamilySpec, samples: int, seed: int, workers: int) -> int:

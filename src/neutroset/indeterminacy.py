@@ -221,7 +221,7 @@ _TOKEN_TO_ENTRY = {
     "-1": NeutrosophicNumber(-1, 0),
     "I": I,
 }
-_ENTRY_TO_TOKEN = {(0, 0): "0", (1, 0): "1", (-1, 0): "-1", (0, 1): "I"}
+_ENTRY_TO_TOKEN = {(e.a, e.b): tok for tok, e in _TOKEN_TO_ENTRY.items()}
 
 
 class AdjacencyKind(Enum):

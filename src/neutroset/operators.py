@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from neutroset.core import ConstraintError, Triplet, UsageError, within
 from neutroset.families import FamilyKind, FamilySpec, _first_outside, _powered_sum, _widened, includes
-from neutroset.transforms import LabeledSet, _scalars
+from neutroset.transforms import LabeledSet, _require_same_universe, _scalars
 
 
 class TNorm(Enum):
@@ -151,7 +151,7 @@ def _require_valid(parts: tuple, sys: OperatorSystem) -> tuple[Real, Real, Real]
 
 def negate(a: Triplet, sys: OperatorSystem) -> Triplet:
     """Complement: swap T and F; only the neutrosophic system reflects I to 1 - I. It keeps the sum bound."""
-    return Triplet(*_negate((_require_valid(a.components(), sys),), sys)[0])
+    return Triplet(*next(_negate((_require_valid(a.components(), sys),), sys)))
 
 
 def conjunct(a: Triplet, b: Triplet, sys: OperatorSystem) -> Triplet:
@@ -175,8 +175,9 @@ def _result(rows: list, sys: OperatorSystem) -> Triplet:
 
 
 # The bodies below take sequences of the scalars of operands already checked for the system, pick the
-# system once, and return the list of the results' components. ``zip`` pulls a row of ``a`` and then a row
-# of ``b``, so operands that are checked as they are read are checked in the order a0, b0, a1, b1, ...
+# system once, and return the list of the results' components; negation returns them lazily, so that
+# implication negates each row of ``a`` as it is read. ``zip`` pulls a row of ``a`` and then a row of ``b``,
+# so operands that are checked as they are read are checked in the order a0, b0, a1, b1, ...
 #
 # Every result component is in [0, 1] for float, int and Fraction operands in [0, 1], so setwise builds
 # its set without a range pass (the family test still runs):
@@ -188,10 +189,10 @@ def _result(rows: list, sys: OperatorSystem) -> Triplet:
 #   so s - fl(ab) <= 1 + 2**-53, which rounds to 1. Exact operands give the exact a + b - ab <= 1.
 
 
-def _negate(a_rows: Iterable[tuple], sys: OperatorSystem) -> list:
+def _negate(a_rows: Iterable[tuple], sys: OperatorSystem) -> Iterator[tuple]:
     if sys.system is SystemKind.NS:
-        return [(f, 1 - i, t) for t, i, f in a_rows]
-    return [(f, i, t) for t, i, f in a_rows]
+        return ((f, 1 - i, t) for t, i, f in a_rows)
+    return ((f, i, t) for t, i, f in a_rows)
 
 
 def _conjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSystem) -> list:
@@ -216,15 +217,8 @@ def _disjunct(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSys
 
 
 def _implicate(a_rows: Iterable[tuple], b_rows: Iterable[tuple], sys: OperatorSystem) -> list:
-    # (not a) or b, with not-a = (fa, ia, ta), or (fa, 1 - ia, ta) under NS, written into the disjunction so
-    # that each row of a is negated as zip pulls it; negation keeps an operand in its family, so not-a needs no check
-    kind, meet, join, _ = sys._resolved
-    pairs = zip(a_rows, b_rows)
-    if kind is SystemKind.IFS:
-        return _widened([(join(fa, tb), meet(ta, fb)) for (ta, _, fa), (tb, _, fb) in pairs])
-    if kind is SystemKind.NS:
-        return [(join(fa, tb), meet(1 - ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
-    return [(join(fa, tb), meet(ia, ib), meet(ta, fb)) for (ta, ia, fa), (tb, ib, fb) in pairs]
+    # (not a) or b; negation keeps an operand in its family, so not-a needs no check
+    return _disjunct(_negate(a_rows, sys), b_rows, sys)
 
 
 def _restore_sum_bound(t: Real, i_met: Real, i_joined: Real, f: Real, rule: OverflowRule) -> tuple:
@@ -250,7 +244,8 @@ def _closed(rows: list, sys: OperatorSystem) -> list:
                 s = 0 + t + f
                 row = _widened([(t / s, f / s)])[0]
             else:
-                row = _restore_sum_bound(t, i, i, f, OverflowRule.OUTPUT)
+                s = t + i + f
+                row = (t / s, i / s, f / s)
         out.append(row)
     return out
 
@@ -285,14 +280,11 @@ def setwise(a_set: LabeledSet, b_set: LabeledSet | None, op: Op, sys: OperatorSy
     to close.
     """
     if op is Op.NOT:
-        out = _negate(_operands(a_set, sys), sys)
+        out = list(_negate(_operands(a_set, sys), sys))
     else:
         if b_set is None:
             raise UsageError(f"operator {op.value!r} needs two operand sets")
-        if a_set.universe != b_set.universe:
-            raise UsageError(
-                f"universe mismatch: {list(a_set.universe)} vs {list(b_set.universe)}"
-            )
+        _require_same_universe(a_set, b_set)
         out = _BINARY[op](_operands(a_set, sys), _operands(b_set, sys), sys)
     family = system_family(sys)
     try:

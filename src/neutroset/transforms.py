@@ -133,6 +133,12 @@ def _scalars(row: tuple) -> tuple:
     return tuple(map(scalar_of, row))
 
 
+def _require_same_universe(a: LabeledSet, b: LabeledSet) -> None:
+    """Refuse two sets that do not name the same elements in the same order."""
+    if a.universe != b.universe:
+        raise UsageError(f"universe mismatch: {list(a.universe)} vs {list(b.universe)}")
+
+
 def _divided(s: LabeledSet, denominators: Iterable[Real]) -> list:
     """Each row of ``s`` over its own denominator; intervals divide endpoint by endpoint.
 
@@ -236,10 +242,7 @@ class DivergenceReport:
 
 def divergence_report(path_a: LabeledSet, path_b: LabeledSet, tol: float = ABS_TOL) -> DivergenceReport:
     """Compare two sets elementwise; verdict fires when any component differs beyond ``tol``."""
-    if path_a.universe != path_b.universe:
-        raise UsageError(
-            f"universe mismatch: {list(path_a.universe)} vs {list(path_b.universe)}"
-        )
+    _require_same_universe(path_a, path_b)
     pairs = zip(path_a._sup_rows(), path_b._sup_rows())
     deltas = [tuple(float(x) - float(y) for x, y in zip(ra, rb)) for ra, rb in pairs]
     max_abs = max((abs(d) for row in deltas for d in row), default=0.0)

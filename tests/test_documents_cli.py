@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neutroset
-from neutroset import cli, documents, families
+from neutroset import cli, documents
 from neutroset.core import Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
@@ -487,7 +487,6 @@ class TestExactTypes:
             raise AssertionError("a row was read")
 
         # the family is refused before any row is read, checked or widened
-        monkeypatch.setattr(families, "_embedded_row", read)
         monkeypatch.setattr(documents, "_first_out_of_range", read)
         monkeypatch.setattr(documents, "_widened", read)
         described = doc.family.describe()
