@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from test_operators import EDGE_SUMS
 
 from neutroset.core import (
     ComponentRangeError,
@@ -18,6 +19,8 @@ from neutroset.families import (
     FamilyKind,
     FamilySpec,
     InclusionClaim,
+    _first_outside,
+    _widened,
     admits,
     classify_cube_region,
     embed_into_ns,
@@ -35,6 +38,34 @@ IIFS = FamilySpec(FamilyKind.IIFS)
 IFS = FamilySpec(FamilyKind.IFS)
 SFS = FamilySpec(FamilyKind.SFS)
 PYFS = FamilySpec(FamilyKind.PYFS)
+
+
+def edge_totals():
+    """Every ``EDGE_SUMS`` value exactly, as the nearest float, and that float one ulp either way."""
+    for total in EDGE_SUMS:
+        x = float(total)
+        yield from (total, x, math.nextafter(x, 0.0), math.nextafter(x, 2.0))
+
+
+def edge_rows(total):
+    """(family, components, row of suprema) whose constraint value is ``total``, or as near as a square root lets it be.
+
+    The sum families split ``total`` exactly (``total - 1/2`` is exact in floats too); an IFS pair
+    also comes widened to its stand-in triplet. Under PyFS and SFS the last component is the float
+    square root of what the others leave, and that root one ulp either way.
+    """
+    exact = isinstance(total, Fraction)
+    half = Fraction(1, 2) if exact else 0.5
+    quarter = half / 2
+    pair = (half, total - half)
+    yield IFS, pair, pair
+    yield IFS, pair, _widened([pair])[0]
+    yield IIFS, (quarter, quarter, total - half), (quarter, quarter, total - half)
+    for family, head in ((PYFS, (half,)), (SFS, (half, half))):
+        r = math.sqrt(float(total - len(head) * quarter))
+        for last in (math.nextafter(r, 0.0), r, math.nextafter(r, 2.0)):
+            x = (*head, Fraction(last) if exact else last)
+            yield family, x, x
 
 
 class TestFamilySpec:
@@ -140,6 +171,11 @@ class TestValidate:
             comps = (Triplet if family.arity == 3 else Pair)(*comps)
         tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5, -0.5]))
         assert admits(comps, family, tol) == validate(comps, family, tol).valid
+
+    @pytest.mark.parametrize("total", list(edge_totals()), ids=repr)
+    def test_bound_test_agrees_with_validate_on_the_band_edges(self, total):
+        for family, x, row in edge_rows(total):
+            assert (_first_outside([row], family) < 0) == validate(x, family).valid, (family.describe(), x, row)
 
     @given(units, units, units)
     def test_degenerate_interval_equals_scalar(self, t, i, f):
