@@ -100,10 +100,10 @@ _INCLUSION_CHAIN = (FamilyKind.IFS, FamilyKind.IIFS, FamilyKind.NS)
 
 
 def includes(outer: FamilySpec, inner: FamilySpec) -> bool:
-    """Whether every triplet :func:`admits` finds valid under ``inner`` is valid under ``outer`` too.
+    """Whether every triplet inside ``inner``'s bound, as :func:`_first_outside` tests it, is inside ``outer``'s too.
 
-    Both are judged at ``ABS_TOL``, and a sum-1 triplet standing in for an
-    IFS pair meets IIFS's own upper comparison, so no sum slips between them.
+    Every bound test runs at ``ABS_TOL``, and a sum-1 triplet standing in for
+    an IFS pair meets IIFS's own upper comparison, so no sum slips between them.
     """
     chain = _INCLUSION_CHAIN
     if inner.kind in chain:
@@ -148,8 +148,10 @@ class FamilySpec(_TableSpec):
     def __post_init__(self):
         super().__post_init__()
         # resolved once per spec: _first_outside reads it on every call
-        whole_cube = _admits_unit_cube(self) and not self._row.extended
-        object.__setattr__(self, "_bound_test", (whole_cube, self._row.columns, self.effective_exponent, self.bound))
+        bound, row = self.bound, self._row
+        whole_cube = _admits_unit_cube(self) and not row.extended
+        test = (whole_cube, row.columns, self.effective_exponent, bound, bound + ABS_TOL)
+        object.__setattr__(self, "_bound_test", test)
 
     @property
     def arity(self) -> int:
@@ -286,25 +288,12 @@ def validate(components, family: FamilySpec, tol: float = ABS_TOL) -> Validation
     return _report(parts[: row.columns], family.effective_exponent, family.bound, tol, family.describe())
 
 
-def admits(components, family: FamilySpec, tol: float = ABS_TOL) -> bool:
-    """Whether ``components`` are a valid element of ``family``, as :func:`validate` judges.
-
-    An IFS element may also come as the sum-1 triplet :func:`embed_into_ns`
-    widens it to. Range violations raise as in :func:`validate`.
-    """
-    if isinstance(components, Triplet):
-        parts = components.components()
-    else:
-        parts = _coerce_components(components, family.arity, family.component_cap, family)
-    return _first_outside([tuple(map(sup_of, parts))], family, tol) < 0
-
-
 def _admits_unit_cube(family: FamilySpec) -> bool:
     """Whether the bound admits the all-ones corner, hence every point of the unit cube."""
     return family._row.columns <= family.bound
 
 
-def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
+def _first_outside(rows, family: FamilySpec) -> int:
     """The index of the first row outside ``family``'s bound, or -1 when every row is inside.
 
     The rows hold the components' suprema, range-checked for ``family``,
@@ -312,36 +301,34 @@ def _first_outside(rows, family: FamilySpec, tol: float = ABS_TOL) -> int:
     triplet stands in for a pair (triplets under another pair family
     raise). A stand-in must pass :func:`~neutroset.core.sums_to_one`, whose
     upper comparison is the pair test's own. Every other row passes
-    :func:`~neutroset.core.within`, written out in the loops: ``first`` is
-    the exact bound where ``within`` tries it, else ``bound + tol`` again.
+    :func:`~neutroset.core.within` at ``ABS_TOL``, written out in the loops:
+    the exact bound first, then ``bound + ABS_TOL``, which the spec holds.
     The plain sums run left to right from the first component: they only
     meet comparisons, and equal :func:`_powered_sum`'s from 0 in value.
     """
-    whole_cube, columns, exponent, bound = family._bound_test
-    limit = bound + tol
-    first = bound if tol >= 0 else limit
+    whole_cube, columns, exponent, bound, limit = family._bound_test
     if family._row.arity == 2 and rows and len(rows[0]) == 3:
         if family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
         for k, (t, i, f) in enumerate(rows):
-            if not sums_to_one(t + i + f, tol):
+            if not sums_to_one(t + i + f):
                 return k
-    elif whole_cube and tol >= 0:
+    elif whole_cube:
         return -1
     elif exponent == 1 and columns == 3:
         for k, (t, i, f) in enumerate(rows):
             s = t + i + f
-            if not (s <= first or s <= limit):
+            if not (s <= bound or s <= limit):
                 return k
     elif exponent == 1 and columns == 2:
         for k, (t, f) in enumerate(rows):
             s = t + f
-            if not (s <= first or s <= limit):
+            if not (s <= bound or s <= limit):
                 return k
     else:
         for k, row in enumerate(rows):
             s = _powered_sum(row[:columns], exponent)
-            if not (s <= first or s <= limit):
+            if not (s <= bound or s <= limit):
                 return k
     return -1
 

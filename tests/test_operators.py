@@ -28,7 +28,6 @@ from neutroset.families import (
     FamilyKind,
     FamilySpec,
     _first_outside,
-    admits,
     classify_cube_region,
     embed_into_ns,
     hesitancy,
@@ -293,6 +292,11 @@ class TestBandResultsClose:
         assert typed(setwise(a_set, b_set, op, sys)) == [[(Fraction, repr(v)) for v in want]]
 
 
+def inside(triplets, family: FamilySpec) -> bool:
+    """Whether every triplet's row of suprema is inside ``family``'s bound."""
+    return _first_outside([tuple(map(sup_of, x.components())) for x in triplets], family) < 0
+
+
 #: Every family whose elements can be triplets, IFS through its sum-1 triplets.
 TRIPLET_FAMILIES = [
     FamilySpec(kind, exponent)
@@ -305,8 +309,8 @@ TRIPLET_FAMILIES = [
 class TestFamilyInclusion:
     @settings(max_examples=300)
     @given(operand_triplets)
-    def test_includes_agrees_with_admits(self, x):
-        admitted = [family for family in TRIPLET_FAMILIES if admits(x, family)]
+    def test_includes_agrees_with_the_bound_test(self, x):
+        admitted = [family for family in TRIPLET_FAMILIES if inside([x], family)]
         for inner in admitted:
             for outer in TRIPLET_FAMILIES:
                 if includes(outer, inner):
@@ -871,10 +875,10 @@ def divide(c, d):
 
 
 def rows_one_by_one(names, rows, family: FamilySpec) -> list:
-    """A set of raw rows, element by element: every row through ``Triplet``, then each through ``admits``."""
+    """A set of raw rows, element by element: every row through ``Triplet``, then each through the bound test."""
     triplets = [Triplet(*row) for row in rows]
     for name, x in zip(names, triplets):
-        if not admits(x, family):
+        if not inside([x], family):
             scalars = tuple(float(scalar_of(c)) for c in x.components())
             raise UsageError(f"element {name!r} {scalars} is not valid under {family.describe()}")
     return [x.components() for x in triplets]
@@ -884,11 +888,11 @@ def loads_one_by_one(text: str) -> documents.ElementSetDocument:
     doc = documents.loads(text, validate_elements=False)
     for name, row in zip(doc.universe, doc.components):
         try:
-            admitted = admits(row, doc.family)
+            report = validate(row, doc.family)
         except ComponentRangeError as exc:
             raise documents.DocumentError(f"element {name!r} invalid: {exc}") from None
-        if not admitted:
-            raise documents.DocumentError(f"element {name!r} invalid: {validate(row, doc.family).diagnostics}")
+        if not report.valid:
+            raise documents.DocumentError(f"element {name!r} invalid: {report.diagnostics}")
     return doc
 
 
@@ -1130,7 +1134,7 @@ class TestOneOperatorContract:
                 want = [negate(x, sys) for x in a.triplets]
             else:
                 want = [SCALAR_OPS[op](x, y, sys) for x, y in zip(a.triplets, b.triplets)]
-            assert all(admits(r, family) for r in want), (op, want)
+            assert inside(want, family), (op, want)
             got = setwise(a, b, op, sys)
             assert got.triplets == tuple(want) and got.family == family, op
             assert typed(got) == [[(type(v), repr(v)) for v in r.components()] for r in want], op
@@ -1146,7 +1150,7 @@ class TestOneOperatorContract:
         sys = OperatorSystem(kind, norms)
         a, b = {Op.AND: (HIGH_T, HIGH_T), Op.OR: (HIGH_F, HIGH_F), Op.IMPLIES: (HIGH_T, HIGH_F)}[op]
         want = SCALAR_OPS[op](a, b, sys)
-        assert admits(want, operators.system_family(sys)), want
+        assert inside([want], operators.system_family(sys)), want
         names = ("x",)
         a_set, b_set = (LabeledSet(names, [x], operators.system_family(sys)) for x in (a, b))
         assert setwise(a_set, b_set, op, sys).triplets == (want,)
@@ -1300,15 +1304,15 @@ class TestExactSumsNeverMeetAFloat:
         return allowed
 
     @pytest.mark.parametrize("kind, exponent, elements", EXACT_ELEMENTS)
-    def test_validate_and_admits(self, kind, exponent, elements, let_through):
+    def test_validate_and_the_bound_test(self, kind, exponent, elements, let_through):
         family = FamilySpec(kind, exponent)
         for x in elements:
             let_through.clear()
             if kind.row.extended and any(v > 1 for v in x):
                 let_through.add(family.component_cap + ABS_TOL)
-            assert validate(x, family).valid and admits(x, family)
+            assert validate(x, family).valid and _first_outside([x], family) < 0
             if kind is FamilyKind.IFS:
-                assert admits(embed_into_ns(x, family), family)
+                assert inside([embed_into_ns(x, family)], family)
 
     @pytest.mark.parametrize("kind, exponent, groups", EXACT_REFINED)
     def test_validate_refined(self, kind, exponent, groups, let_through):
