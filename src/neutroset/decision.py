@@ -96,6 +96,7 @@ def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -
         totals[groups[label]] += size
     accept, noncommit, reject = totals.values()
     grand = 0 + accept + noncommit + reject  # left to right: builtin sum compensates floats from Python 3.12 on
+    _check_finite("total measure", (grand,))
     if grand <= 0:
         raise DegenerateInputError("total measure is zero; no fractions to form")
     return Partition3(accept / grand, noncommit / grand, reject / grand)
@@ -202,7 +203,9 @@ def offset_degree(amount: Real, norm: Real) -> float:
         raise UsageError(f"amount must be a real number, got {amount!r}")
     _check_finite("norm", (norm,))
     _check_finite("amount", (amount,))
-    return amount / norm
+    degree = amount / norm
+    _check_finite(f"degree of amount {amount!r} against norm {norm!r}", (degree,))
+    return degree
 
 
 class OffsetClass(Enum):

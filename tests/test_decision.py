@@ -254,9 +254,20 @@ class TestNonFiniteInputs:
             (lambda: neutrosophify({"a": NAN}, {"a": Verdict.ACCEPT}), "size of 'a' must be finite, got nan"),
             (lambda: offset_degree(INF, 40), "amount must be finite, got inf"),
             (lambda: offset_degree(1, INF), "norm must be finite, got inf"),
+            (
+                lambda: neutrosophify({"a": 1e308, "b": 1e308}, {"a": Verdict.ACCEPT, "b": Verdict.REJECT}),
+                "total measure must be finite, got inf",
+            ),
+            (
+                lambda: neutrosophify({"a": 1e308, "b": 1e308}, {"a": Verdict.ACCEPT, "b": Verdict.ACCEPT}),
+                "total measure must be finite, got inf",
+            ),
+            (lambda: offset_degree(1.0, 1e-320), "degree of amount 1.0 against norm 1e-320 must be finite, got inf"),
+            (lambda: offset_degree(1e308, 0.5), "degree of amount 1e+308 against norm 0.5 must be finite, got inf"),
         ],
         ids=["three-ways-score", "three-ways-threshold", "n-ways-score", "n-ways-cut", "size-inf", "size-nan",
-             "offset-amount", "offset-norm"],
+             "offset-amount", "offset-norm", "total-overflows", "group-total-overflows", "degree-overflows-norm",
+             "degree-overflows-amount"],
     )
     def test_rejected_by_name(self, call, message):
         with pytest.raises(UsageError) as info:

@@ -590,6 +590,19 @@ class TestMalformedCalls:
         assert "nosuch" in self._one_line_error(["demo", "nosuch"], capsys)
 
     @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["--format", "json", "decide", "offset", "--amounts", "1,2", "--norm", "1e-320"], "degree of amount 1.0"),
+            (["decide", "offset", "--amounts", "1e308", "--norm", "0.5"], "degree of amount 1e+308"),
+            (["decide", "neutrosophify", "--sizes", "a=1e308,b=1e308", "--groups", "a=accept,b=reject"], "total"),
+            (["decide", "neutrosophify", "--sizes", "a=1e308,b=1e308", "--groups", "a=accept,b=accept"], "total"),
+        ],
+    )
+    def test_decision_arithmetic_that_overflows(self, argv, what, capsys):
+        err = self._one_line_error(argv, capsys)
+        assert err.startswith(f"error: {what}") and "must be finite, got inf" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["volume", "--family", "NS", "--exponent", "2", "--samples", "1000"],
