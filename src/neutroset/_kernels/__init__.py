@@ -25,20 +25,18 @@ def backend_name() -> str:
     return "numpy"
 
 
-def count_satisfying(samples, exponent: float, bound: float, tol: float, columns: int = -1) -> int:
+def count_satisfying(samples, exponent: float, bound: float, tol: float, columns: int) -> int:
     """Count rows of ``samples`` whose powered component sum stays within ``bound + tol``.
 
     ``samples`` is a 2-D float64 array of points in the unit hypercube.
-    When ``columns`` is nonnegative only the first ``columns`` entries of
-    each row enter the sum (used by families that constrain a subset of
-    the sampled components). The count equals that of a Python loop summing
-    each row left to right, with ``math.pow`` for general exponents, so it
-    is a pure function of the sample block.
+    Only the first ``columns`` entries of each row enter the sum (families
+    may constrain a subset of the sampled components). The count equals
+    that of a Python loop summing each row left to right, with ``math.pow``
+    for general exponents, so it is a pure function of the sample block.
     """
-    ncols = samples.shape[1] if columns < 0 else columns
     limit = bound + tol
     acc = np.zeros(samples.shape[0])
-    for j in range(ncols):
+    for j in range(columns):
         c = samples[:, j]
         if exponent == 1.0:
             acc += c
@@ -51,7 +49,7 @@ def count_satisfying(samples, exponent: float, bound: float, tol: float, columns
         return int(np.count_nonzero(acc <= limit))
     off = acc - limit
     hits = int(np.count_nonzero(off < -_RECHECK_BAND))
-    for row in samples[np.abs(off) <= _RECHECK_BAND, :ncols].tolist():
+    for row in samples[np.abs(off) <= _RECHECK_BAND, :columns].tolist():
         s = 0.0
         for x in row:
             s = s + math.pow(x, exponent)

@@ -151,7 +151,7 @@ class TestKernelBackends:
         assert len(block) > 1_000
         want = oracle_count(block, exponent, 1.0, tol)
         assert 0 < want < len(block)
-        assert _kernels.count_satisfying(block, exponent, 1.0, tol) == want
+        assert _kernels.count_satisfying(block, exponent, 1.0, tol, columns) == want
 
     def test_hit_counts_pinned(self):
         # hits over three 65,536-sample blocks, recorded with the pure-Python kernel
