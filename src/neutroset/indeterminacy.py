@@ -229,10 +229,10 @@ class AdjacencyKind(Enum):
     COGNITIVE_MAP = "cognitive-map"
 
 
-#: Entry values permitted per structure kind.
+#: Entry values permitted per structure kind: a cognitive map takes every token, a graph all but -1.
 _ALPHABETS = {
-    AdjacencyKind.GRAPH: frozenset({(0, 0), (1, 0), (0, 1)}),
-    AdjacencyKind.COGNITIVE_MAP: frozenset({(0, 0), (1, 0), (-1, 0), (0, 1)}),
+    AdjacencyKind.GRAPH: frozenset(key for key, tok in _ENTRY_TO_TOKEN.items() if tok != "-1"),
+    AdjacencyKind.COGNITIVE_MAP: frozenset(_ENTRY_TO_TOKEN),
 }
 
 
