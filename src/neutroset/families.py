@@ -253,8 +253,45 @@ def _component_limit(cap: float) -> float:
     return cap if cap == 1.0 else cap + ABS_TOL
 
 
+def _fraction_type(first):
+    """``fractions.Fraction`` when ``first`` is one, else None.
+
+    The module is looked up, not imported: if nothing has loaded it, no component is a Fraction.
+    """
+    fractions = sys.modules.get("fractions")
+    return fractions.Fraction if fractions is not None and type(first) is fractions.Fraction else None
+
+
+def _exact_sum(parts, exponent: Real, fraction: type) -> tuple[int, int] | None:
+    """The sum of the Fraction ``parts`` (squared under exponent 2) as an integer numerator and denominator.
+
+    The denominator is the product of the parts' own (squared) denominators,
+    so nothing is normalised. None when a part is not a ``fraction``.
+    """
+    square = exponent == 2
+    num, den = 0, 1
+    for p in parts:
+        if type(p) is not fraction:
+            return None
+        n, d = p.numerator, p.denominator
+        if square:
+            n, d = n * n, d * d
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
 def _powered_sum(parts, exponent: Real) -> Real:
-    """The powered sum of the components' suprema: what a family's bound limits."""
+    """The powered sum of the components' suprema: what a family's bound limits.
+
+    A row of Fractions under exponent 1 or 2 is added in integers by
+    :func:`_exact_sum` and normalised once: the same Fraction the loop
+    below builds one normalised step at a time.
+    """
+    fraction = _fraction_type(parts[0]) if parts else None
+    if fraction is not None and (exponent == 1 or exponent == 2):
+        exact = _exact_sum(parts, exponent, fraction)
+        if exact is not None:
+            return fraction(*exact)
     acc = 0
     for p in parts:
         v = sup_of(p)
@@ -305,16 +342,31 @@ def _first_outside(rows, family: FamilySpec) -> int:
     the exact bound first, then ``bound + ABS_TOL``, which the spec holds.
     The plain sums run left to right from the first component: they only
     meet comparisons, and equal :func:`_powered_sum`'s from 0 in value.
+    A first row that starts with a Fraction picks the exact loop instead, once per call.
     """
     whole_cube, columns, exponent, bound, limit = family._bound_test
-    if family._row.arity == 2 and rows and len(rows[0]) == 3:
-        if family.kind is not FamilyKind.IFS:
-            raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
+    stand_in = family._row.arity == 2 and rows and len(rows[0]) == 3
+    if stand_in and family.kind is not FamilyKind.IFS:
+        raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs stand in as triplets")
+    if whole_cube and not stand_in:
+        return -1
+    fraction = _fraction_type(rows[0][0]) if rows else None
+    if fraction is not None and (exponent == 1 or exponent == 2):
+        # a row of Fractions meets the bound by cross-multiplication, and builds no Fraction; a row that
+        # fails that, or holds another type, takes the tolerant test, so the ABS_TOL band answers as before
+        width = 3 if stand_in else columns
+        for k, row in enumerate(rows):
+            parts = row[:width]
+            exact = _exact_sum(parts, exponent, fraction)
+            if exact is not None and (exact[0] == exact[1] if stand_in else exact[0] <= bound * exact[1]):
+                continue
+            s = _powered_sum(parts, exponent)
+            if not (sums_to_one(s) if stand_in else (s <= bound or s <= limit)):
+                return k
+    elif stand_in:
         for k, (t, i, f) in enumerate(rows):
             if not sums_to_one(t + i + f):
                 return k
-    elif whole_cube:
-        return -1
     elif exponent == 1 and columns == 3:
         for k, (t, i, f) in enumerate(rows):
             s = t + i + f

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from test_operators import EDGE_SUMS
 
 from neutroset.core import (
+    ABS_TOL,
     ComponentRangeError,
     ConstraintError,
     IntervalValue,
@@ -20,6 +21,7 @@ from neutroset.families import (
     FamilySpec,
     InclusionClaim,
     _first_outside,
+    _powered_sum,
     _widened,
     classify_cube_region,
     embed_into_ns,
@@ -415,3 +417,157 @@ class TestNhsfsMonotonicity:
         fam = FamilySpec(FamilyKind.NHSFS, 2)
         for trip in [Triplet(0.5, 0.5, 0.5), Triplet(0.9, 0.4, 0.5), Triplet(1.0, 0.0, 0.0)]:
             assert validate(trip, fam).valid == validate(trip, SFS).valid
+
+
+# Exact sums: a row of Fractions is added in integers and normalised once. The references below are the
+# left-to-right loops that build one normalised Fraction per step, written out here, not taken from the package.
+
+
+def loop_sum(parts, exponent):
+    """The powered sum from 0, one addition per component."""
+    acc = 0
+    for v in parts:
+        acc = acc + (v if exponent == 1 else v * v)
+    return acc
+
+
+def loop_first_outside(rows, family):
+    """The first row outside ``family``'s bound: the loop sum against ``within``'s and ``sums_to_one``'s comparisons."""
+    columns, exponent, bound = family._row.columns, family.effective_exponent, family.bound
+    for k, row in enumerate(rows):
+        if family.arity == 2 and len(row) == 3:  # a sum-1 triplet standing in for an IFS pair
+            s = loop_sum(row, 1)
+            inside = s == 1 or 1 - ABS_TOL <= s <= 1 + ABS_TOL
+        else:
+            s = loop_sum(row[:columns], exponent)
+            inside = s <= bound or s <= bound + ABS_TOL
+        if not inside:
+            return k
+    return -1
+
+
+def band(row, family) -> str:
+    """Where an exact row's sum lies against the bound its test applies."""
+    stand_in = family.arity == 2 and len(row) == 3
+    s = loop_sum(row, 1) if stand_in else loop_sum(row[: family._row.columns], family.effective_exponent)
+    bound = 1 if stand_in else family.bound
+    if s <= bound:
+        return "on the bound" if s == bound else "below the bound"
+    return "past the bound inside the band" if s <= bound + ABS_TOL else "past the band"
+
+
+def assert_same_number(got, want):
+    assert type(got) is type(want) and got == want, (got, want)
+    if isinstance(want, Fraction):
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+#: Every family spec whose exponent is 1 or 2.
+EXACT_FAMILIES = [
+    FamilySpec(kind, exponent)
+    for kind in FamilyKind
+    for exponent in ((None,) if kind.row.exponent else (1, 2))
+]
+#: Factors that take a sum on the bound just below it, just past it inside the ``ABS_TOL`` band, onto the
+#: band's edge, or out of the band (a squared sum moves by about twice the step).
+SCALES = [1 + Fraction(sign, 10**n) for sign in (1, -1) for n in (13, 11, 8)] + [
+    1 + Fraction(ABS_TOL), 1 - Fraction(ABS_TOL), Fraction(1 + ABS_TOL), Fraction(1 - ABS_TOL), Fraction(1)]
+
+
+def fractions_upto(hi):
+    return st.fractions(min_value=0, max_value=hi, max_denominator=10**6)
+
+
+@st.composite
+def on_bound(draw, width: int, exponent: int, bound: int) -> list:
+    """``width`` nonnegative Fractions whose powered sum is exactly ``bound``.
+
+    Under exponent 1 the bound is cut at drawn points. Under exponent 2 a
+    rational point of the sphere is projected from a pole on it through a
+    drawn direction, which lands on the sphere again: ``|p + t d|^2 = |p|^2``
+    for ``t = -2 p.d / |d|^2``. Signs drop, as the squares do not see them.
+    """
+    if exponent == 1:
+        cuts = sorted(draw(fractions_upto(bound)) for _ in range(width - 1))
+        edges = [0, *cuts, bound]
+        return [b - a for a, b in zip(edges, edges[1:])]
+    pole = [Fraction(1)] * width if bound == width else [Fraction(0)] * (width - 1) + [Fraction(1)]
+    d = [draw(st.fractions(min_value=-1, max_value=1, max_denominator=10**3)) for _ in range(width)]
+    norm = sum(x * x for x in d)
+    t = -2 * sum(p * x for p, x in zip(pole, d)) / norm if norm else 0
+    return [abs(p + t * x) for p, x in zip(pole, d)]
+
+
+@st.composite
+def exact_rows(draw):
+    """A family with exponent 1 or 2 and one to four rows for it, range-checked as ``_first_outside`` expects.
+
+    A row is on the family's bound times one of ``SCALES`` or a drawn factor, or a drawn point; an IFS
+    call may take sum-1 triplets standing in for pairs. Some rows hold an int or a float among Fractions.
+    """
+    family = draw(st.sampled_from(EXACT_FAMILIES))
+    stand_in = family.kind is FamilyKind.IFS and draw(st.booleans())
+    width = 3 if stand_in else family.arity
+    columns = 3 if stand_in else family._row.columns
+    exponent, bound = (1, 1) if stand_in else (family.effective_exponent, family.bound)
+    cap = Fraction(family.component_cap)
+    whole_cube = family._bound_test[0]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if whole_cube or draw(st.integers(0, 3)) == 0:
+            row = [draw(fractions_upto(Fraction(math.floor(cap * 10**6), 10**6))) for _ in range(width)]
+        else:
+            scale = draw(st.sampled_from(SCALES) | st.fractions(min_value=Fraction(1, 2), max_value=1,
+                                                                 max_denominator=10**6))
+            row = [min(x * scale, cap) for x in draw(on_bound(columns, exponent, bound))]
+            row += [draw(fractions_upto(1)) for _ in range(width - columns)]
+        if draw(st.integers(0, 3)) == 0:
+            row = [draw(st.sampled_from([x, x, float(x), int(x)])) for x in row]
+        rows.append(tuple(row))
+    return family, rows
+
+
+class TestExactSums:
+    @settings(max_examples=400)
+    @given(exact_rows())
+    def test_first_outside_matches_the_loop(self, case):
+        family, rows = case
+        k = loop_first_outside(rows, family)
+        assert _first_outside(rows, family) == k
+        event("every row inside" if k < 0 else "a row outside")
+        columns, exponent = family._row.columns, family.effective_exponent
+        for row in rows:
+            for e in (1, 2):
+                assert_same_number(_powered_sum(row, e), loop_sum(row, e))
+            assert_same_number(_powered_sum(row[:columns], exponent), loop_sum(row[:columns], exponent))
+            event(band(row, family) if all(type(x) is Fraction for x in row) else "an int or float in the row")
+
+    @given(st.lists(st.fractions(max_denominator=10**6) | st.integers(-5, 5) | units, max_size=5),
+           st.sampled_from([1, 2, 1.0, 2.0]))
+    def test_powered_sum_matches_the_loop(self, parts, exponent):
+        assert_same_number(_powered_sum(parts, exponent), loop_sum(parts, exponent))
+
+    @pytest.mark.parametrize(
+        "family, row",
+        [
+            (IFS, (Fraction(1, 3), Fraction(2, 3))),
+            (IFS, (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))),
+            (IIFS, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+            (IIFS, (Fraction(1, 7), Fraction(1, 3), Fraction(1, 6))),
+            (PYFS, (Fraction(3, 5), Fraction(4, 5))),
+            (FamilySpec(FamilyKind.QROFS, 2), (Fraction(5, 13), Fraction(12, 13))),
+            (SFS, (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))),
+            (FamilySpec(FamilyKind.SNS), (Fraction(1, 3), Fraction(1, 3), Fraction(5, 3))),
+            (FamilySpec(FamilyKind.NHSNS, 1), (Fraction(3, 2), Fraction(1), Fraction(1, 2))),
+        ],
+        ids=["IFS-on", "IFS-stand-in-on", "IIFS-on", "IIFS-inside", "PyFS-on", "QROFS-on", "SFS-on", "SNS-on",
+             "NHSNS-on"],
+    )
+    def test_a_fraction_row_on_or_inside_the_bound_builds_no_fraction(self, family, row, monkeypatch):
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("the bound test built a Fraction")
+
+        rows = [row, row]
+        assert loop_first_outside(rows, family) == -1
+        monkeypatch.setattr(Fraction, "__new__", no_fraction)
+        assert _first_outside(rows, family) == -1
