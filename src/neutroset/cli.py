@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,10 +39,27 @@ OVERFLOW_RULES = ("output", "printed")
 MATRIX_KINDS = ("graph", "cognitive-map")
 
 
-def _digest(path: str) -> str:
-    import hashlib
+def _read(path: str) -> tuple[str, str]:
+    """The text of the file at ``path`` and the digest of its bytes, from one read.
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    The text is what ``Path.read_text(encoding="utf-8")`` gives, universal
+    newlines included; a command that then writes ``--out`` over its input
+    still reports the input's digest.
+    """
+    import hashlib
+    import io
+
+    data = Path(path).read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return text, hashlib.sha256(data).hexdigest()[:16]
+
+
+def _load(path: str, validate_elements: bool = True):
+    """The document at ``path`` and the digest of the bytes it was parsed from."""
+    from neutroset import documents
+
+    text, digest = _read(path)
+    return documents.loads(text, validate_elements), digest
 
 
 #: Payload keys that echo a setting: ``--round`` prints them as given, since rounding them would misreport the run.
@@ -126,7 +144,7 @@ def _cmd_validate(args) -> int:
 
     if args.exponent is not None and not args.family:
         raise UsageError("--exponent needs --family; a document's own family carries its exponent")
-    doc = documents.load(args.file, validate_elements=False)
+    doc, digest = _load(args.file, validate_elements=False)
     family = _family_from_args(args) if args.family else doc.family
     rows = []
     all_ok = True
@@ -145,7 +163,7 @@ def _cmd_validate(args) -> int:
         rows.append(row)
     payload = {
         "command": "validate",
-        "input_digest": _digest(args.file),
+        "input_digest": digest,
         "family": family.describe(),
         "tolerance": args.tolerance,
         "all_valid": all_ok,
@@ -165,12 +183,13 @@ def _cmd_op(args) -> int:
         raise UsageError(f"operator 'not' takes one operand file, got a second: {args.b!r}")
     if op is not Op.NOT and not args.b:
         raise UsageError(f"operator {op.value!r} needs a second operand file")
-    set_a = documents.load(args.a).to_labeled_set()
+    doc_a, digest_a = _load(args.a)
+    set_a = doc_a.to_labeled_set()
     set_b = None
     digest_b = None
     if op is not Op.NOT:
-        set_b = documents.load(args.b).to_labeled_set()
-        digest_b = _digest(args.b)
+        doc_b, digest_b = _load(args.b)
+        set_b = doc_b.to_labeled_set()
     result = setwise(set_a, set_b, op, sys_)
     if args.out:
         documents.dump(documents.from_labeled_set(result), args.out)
@@ -185,7 +204,7 @@ def _cmd_op(args) -> int:
     payload = {
         "command": f"op {op.value}",
         "system": sys_.system.value,
-        "input_digest_a": _digest(args.a),
+        "input_digest_a": digest_a,
         **({"input_digest_b": digest_b} if digest_b else {}),
         "result_family": result.family.describe(),
         **({"written": args.out} if args.out else {}),
@@ -202,7 +221,8 @@ def _cmd_transform(args) -> int:
     from neutroset import documents
     from neutroset.transforms import normalize_elementwise, sup_transform
 
-    labeled = documents.load(args.file).to_labeled_set()
+    doc, digest = _load(args.file)
+    labeled = doc.to_labeled_set()
     if args.method == "sup":
         res = sup_transform(labeled)
         result = res.labeled
@@ -221,7 +241,7 @@ def _cmd_transform(args) -> int:
         documents.dump(documents.from_labeled_set(result), args.out)
     payload = {
         "command": f"transform {args.method}",
-        "input_digest": _digest(args.file),
+        "input_digest": digest,
         "result_family": result.family.describe(),
         **extra,
         **({"written": args.out} if args.out else {}),
@@ -332,13 +352,13 @@ def _cmd_refined(args) -> int:
 def _cmd_matrix(args) -> int:
     from neutroset import indeterminacy
 
-    text = Path(args.file).read_text(encoding="utf-8")
+    text, digest = _read(args.file)
     adj = indeterminacy.parse_adjacency(text)
     kind = indeterminacy.AdjacencyKind(args.kind)
     report = indeterminacy.adjacency_validate(adj, kind)
     payload = {
         "command": "matrix",
-        "input_digest": _digest(args.file),
+        "input_digest": digest,
         "kind": kind.value,
         "order": report.order,
         "indeterminate_entries": report.indeterminate_entries,
@@ -558,9 +578,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The flags that take a comma-separated list of numbers.
+_NUMBER_LISTS = frozenset({"--scores", "--cuts", "--arities", "--amounts", "--t", "--i", "--f"})
+#: A value that starts with a negative number: ``-20,45`` or ``-.5,1``.
+_NEGATIVE_START = re.compile(r"-\.?\d")
+
+
+def _join_number_lists(argv: list[str]) -> list[str]:
+    """``argv`` with each number-list flag joined to a value that starts with a negative number.
+
+    argparse reads a separate ``-20,45`` as an unknown option, but takes
+    ``--amounts=-20,45`` as the flag's value. Tokens after ``--`` stay apart.
+    """
+    out = []
+    for k, token in enumerate(argv):
+        if token == "--":
+            return out + argv[k:]
+        if out and out[-1] in _NUMBER_LISTS and _NEGATIVE_START.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_number_lists(sys.argv[1:] if argv is None else list(argv)))
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")

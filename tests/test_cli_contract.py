@@ -15,6 +15,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +283,27 @@ class TestCliContract:
         assert_contract(code, err)
         assert (code, out) == (2, "")
         assert err.startswith(f"document error: element {name!r} invalid: component"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "offset", "--amounts", "-20,45", "--norm", "40"],
+            ["decide", "three-ways", "--scores", "-0.5,0.9", "--alpha", "0.7", "--beta", "0.3"],
+        ],
+        ids=["offset-amounts", "three-ways-scores"],
+    )
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_a_number_list_may_start_with_a_negative_value(self, argv, fmt):
+        flag = argv.index("--amounts" if "offset" in argv else "--scores")
+        joined = argv[:flag] + [f"{argv[flag]}={argv[flag + 1]}"] + argv[flag + 2:]
+        code, out, err = run(["--format", fmt, *argv])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(["--format", fmt, *joined])
+
+    def test_an_unknown_option_after_a_negative_list_still_exits_2(self):
+        code, out, err = run(["decide", "offset", "--amounts", "-20,45", "--norm", "40", "--bogus"])
+        assert_contract(code, err)
+        assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 # Well-formed calls only: valid documents, and flags and values each command accepts. Every such call

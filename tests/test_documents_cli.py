@@ -260,6 +260,26 @@ class TestCliOp:
         assert cli.main([*argv, "--system", "NS"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0]["result"] == [0.5, 0.0, 0.7]
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["op", "--op", "not", "{a}", "--out", "{a}"], "input_digest_a"),
+            (["op", "--op", "and", "{a}", "{b}", "--out", "{a}"], "input_digest_a"),
+            (["op", "--op", "or", "{a}", "{b}", "--out", "{b}"], "input_digest_b"),
+            (["transform", "{a}", "--method", "sup", "--out", "{a}"], "input_digest"),
+        ],
+        ids=["not-over-a", "and-over-a", "or-over-b", "transform-over-input"],
+    )
+    def test_out_over_its_own_input_reports_the_input_digest(self, doc_paths, capsys, argv, key):
+        import hashlib
+
+        a, b = doc_paths
+        target = a if "{a}" == argv[-1] else b
+        before = target.read_bytes()
+        assert cli.main(["--format", "json", *(arg.format(a=a, b=b) for arg in argv)]) == 0
+        assert target.read_bytes() != before  # the result was written over the input
+        assert json.loads(capsys.readouterr().out)[key] == hashlib.sha256(before).hexdigest()[:16]
+
 
 class TestCliTransform:
     def test_sup_transform(self, doc_paths, tmp_path, capsys):
