@@ -71,10 +71,16 @@ class PartitionN:
 
 
 def _check_finite(what: str, values: Sequence[Real]) -> None:
-    """Reject NaN and infinities: no threshold orders them and no total sums them."""
+    """Reject NaN, infinities and numbers too large for a float: no threshold orders them and no total sums them."""
     for v in values:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise UsageError(f"{what} must be finite, got {v!r}")
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise UsageError(f"{what} must be finite, got {v!r}")
+        elif _is_real(v):
+            try:
+                float(v)
+            except OverflowError:  # an int or a Fraction past the largest float
+                raise UsageError(f"{what} must be finite, got a number too large for a float") from None
 
 
 def neutrosophify(measures: Mapping[str, Real], groups: Mapping[str, Verdict]) -> Partition3:
@@ -240,11 +246,11 @@ class OffsetReport:
 
 def validate_offset(components: Sequence[Real], bounds: OffsetBounds = OffsetBounds()) -> OffsetReport:
     """Classify three possibly off-range degrees and check them against ``bounds``."""
-    vals = tuple(float(v) for v in components)
+    vals = tuple(components)
+    _check_finite("components", vals)
+    vals = tuple(map(float, vals))
     if len(vals) != 3:
         raise UsageError(f"expected three components, got {len(vals)}")
-    if any(not math.isfinite(v) for v in vals):
-        raise UsageError(f"components must be finite, got {vals}")
     has_over = any(v > 1 for v in vals)
     has_under = any(v < 0 for v in vals)
     if has_over and has_under:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -273,6 +275,28 @@ class TestNonFiniteInputs:
         with pytest.raises(UsageError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: offset_degree(10**400, 3), "amount"),
+            (lambda: offset_degree(3, 10**400), "norm"),
+            (lambda: offset_degree(Fraction(10**400, 3), 3), "amount"),
+            (lambda: neutrosophify({"a": 10**400}, {"a": Verdict.ACCEPT}), "size of 'a'"),
+            (lambda: three_ways((0.9, -(10**400)), alpha=0.7, beta=0.3), "scores"),
+            (lambda: n_ways((0.6,), (0.25, 0.5, 10**400), (1, 1, 2)), "cut points"),
+            (lambda: validate_offset((10**400, 0, 0)), "components"),
+        ],
+        ids=["offset-amount", "offset-norm", "offset-fraction-amount", "size", "three-ways-score", "n-ways-cut",
+             "validate-offset"],
+    )
+    def test_a_number_too_large_for_a_float_is_rejected_by_name(self, call, what):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == f"{what} must be finite, got a number too large for a float"
+
+    def test_a_large_int_that_fits_a_float_is_accepted(self):
+        assert offset_degree(10**300, 10**299) == 10.0
 
 
 class TestValidateOffset:
