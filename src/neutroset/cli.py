@@ -37,6 +37,8 @@ TCONORMS = ("max", "probsum")
 OVERFLOW_RULES = ("output", "printed")
 #: The values of ``indeterminacy.AdjacencyKind``.
 MATRIX_KINDS = ("graph", "cognitive-map")
+#: A token that starts with a negative number: ``-20,45``, ``-.5,1`` or ``-1e-3``.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -344,7 +346,7 @@ def _cmd_refined(args) -> int:
         payload["hesitancy"] = float(refined.refined_hesitancy(comps, fam).v)
     if report.valid and kind.row.residual == "refusal":
         res = refined.refined_refusal(comps, fam)
-        payload["refusal"] = float(res.v) if hasattr(res, "v") else (float(res.lo), float(res.hi))
+        payload["refusal"] = float(res.v)
     _render(payload, args.format, args.round)
     return 0 if report.valid else 1
 
@@ -575,35 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--over", type=float, default=1.0)
     p.set_defaults(fn=_cmd_decide)
 
+    # argparse takes a token that starts like a negative number as a value, not an option; its own
+    # pattern misses a list such as -20,45 or a number such as -1e-3
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
-
-
-#: The flags that take a comma-separated list of numbers.
-_NUMBER_LISTS = frozenset({"--scores", "--cuts", "--arities", "--amounts", "--t", "--i", "--f"})
-#: A value that starts with a negative number: ``-20,45`` or ``-.5,1``.
-_NEGATIVE_START = re.compile(r"-\.?\d")
-
-
-def _join_number_lists(argv: list[str]) -> list[str]:
-    """``argv`` with each number-list flag joined to a value that starts with a negative number.
-
-    argparse reads a separate ``-20,45`` as an unknown option, but takes
-    ``--amounts=-20,45`` as the flag's value. Tokens after ``--`` stay apart.
-    """
-    out = []
-    for k, token in enumerate(argv):
-        if token == "--":
-            return out + argv[k:]
-        if out and out[-1] in _NUMBER_LISTS and _NEGATIVE_START.match(token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_number_lists(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")

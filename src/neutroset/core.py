@@ -124,9 +124,6 @@ class UnitValue:
     def inf(self) -> Real:
         return self.v
 
-    def __float__(self) -> float:
-        return float(self.v)
-
 
 @dataclass(frozen=True)
 class IntervalValue:
@@ -274,9 +271,6 @@ class Pair:
     def components(self) -> tuple:
         return (self.t, self.f)
 
-    def scalars(self) -> tuple[Real, Real]:
-        return (scalar_of(self.t), scalar_of(self.f))
-
     @classmethod
     def from_triplet(cls, triplet: Triplet, tol: float = ABS_TOL) -> "Pair":
         """Down-convert a triplet summing to 1 within ``tol``, dropping its derivable middle component."""
@@ -297,6 +291,15 @@ def make_unit(v: Real) -> UnitValue:
     return UnitValue(v)
 
 
+def _sum_bound(n: int, d: Real) -> Real:
+    """The most that ``n`` components whose degree of dependence is ``d`` may sum to: ``n - (n - 1) * d``.
+
+    Fully independent components (d = 0) may sum to ``n``, fully dependent
+    ones (d = 1) to 1; an int ``d`` gives an int bound.
+    """
+    return n - (n - 1) * d
+
+
 def dependence_sum_bound(d: Real) -> Real:
     """Maximum allowed sum of two components whose degree of dependence is ``d``.
 
@@ -305,4 +308,4 @@ def dependence_sum_bound(d: Real) -> Real:
     """
     if not _in_unit(_check_real(d)):
         raise ComponentRangeError(d, f"dependence degree {d!r} outside [0, 1]")
-    return 2 - d
+    return _sum_bound(2, d)

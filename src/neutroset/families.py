@@ -31,6 +31,7 @@ from neutroset.core import (
     UsageError,
     _in_unit,
     _is_real,
+    _sum_bound,
     as_component,
     leftover,
     sums_to_one,
@@ -45,8 +46,9 @@ class FamilyRow(NamedTuple):
     arity: int
     #: 1 or 2, or ``None`` for an exponent parameter that must be >= 1.
     exponent: int | None
-    #: Whether the powered sum is bounded by the number of components rather than by 1.
-    bound_is_count: bool
+    #: The components' degree of dependence, 0 (independent) or 1 (fully dependent): it bounds
+    #: the powered sum of n components by ``n - (n - 1) * dependence``, that is n or 1.
+    dependence: int
     #: Whether components may exceed 1, up to ``bound ** (1 / exponent)``.
     extended: bool
     #: How many leading components the constraint reads.
@@ -55,7 +57,7 @@ class FamilyRow(NamedTuple):
     residual: str | None
 
     def bound(self, components: int) -> int:
-        return components if self.bound_is_count else 1
+        return _sum_bound(components, self.dependence)
 
     def cap(self, bound: int, exponent: Real) -> float:
         return float(bound) ** (1.0 / float(exponent)) if self.extended else 1.0
@@ -82,17 +84,17 @@ class FamilyKind(Enum):
 
 #: One row per family kind; :class:`FamilyRow` names the columns.
 FAMILY_TABLE = {
-    #                           arity exponent bound_is_count extended columns residual
-    FamilyKind.FS:    FamilyRow(2, 1,    False, False, 1, None),
-    FamilyKind.IFS:   FamilyRow(2, 1,    False, False, 2, "hesitancy"),
-    FamilyKind.IIFS:  FamilyRow(3, 1,    False, False, 3, "refusal"),
-    FamilyKind.NS:    FamilyRow(3, 1,    True,  False, 3, None),
-    FamilyKind.PYFS:  FamilyRow(2, 2,    False, False, 2, "hesitancy"),
-    FamilyKind.QROFS: FamilyRow(2, None, False, False, 2, "hesitancy"),
-    FamilyKind.SFS:   FamilyRow(3, 2,    False, False, 3, "refusal"),
-    FamilyKind.NHSFS: FamilyRow(3, None, False, False, 3, "refusal"),
-    FamilyKind.SNS:   FamilyRow(3, 2,    True,  True,  3, None),
-    FamilyKind.NHSNS: FamilyRow(3, None, True,  True,  3, None),
+    #                           arity exponent dependence extended columns residual
+    FamilyKind.FS:    FamilyRow(2, 1,    1, False, 1, None),
+    FamilyKind.IFS:   FamilyRow(2, 1,    1, False, 2, "hesitancy"),
+    FamilyKind.IIFS:  FamilyRow(3, 1,    1, False, 3, "refusal"),
+    FamilyKind.NS:    FamilyRow(3, 1,    0, False, 3, None),
+    FamilyKind.PYFS:  FamilyRow(2, 2,    1, False, 2, "hesitancy"),
+    FamilyKind.QROFS: FamilyRow(2, None, 1, False, 2, "hesitancy"),
+    FamilyKind.SFS:   FamilyRow(3, 2,    1, False, 3, "refusal"),
+    FamilyKind.NHSFS: FamilyRow(3, None, 1, False, 3, "refusal"),
+    FamilyKind.SNS:   FamilyRow(3, 2,    0, True,  3, None),
+    FamilyKind.NHSNS: FamilyRow(3, None, 0, True,  3, None),
 }
 
 #: The paper's inclusion result, smallest first: sum-1 IFS triplets ⊂ IIFS ⊂ NS.

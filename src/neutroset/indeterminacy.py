@@ -71,13 +71,11 @@ class NeutrosophicNumber:
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        istr = "I" if self.b == 1 else "-I" if self.b == -1 else f"{self.b}I"
-        if self.a == 0:
-            return istr
-        sign = "+" if self.b > 0 else "-"
         mag = abs(self.b)
-        tail = "I" if mag == 1 else f"{mag}I"
-        return f"{self.a}{sign}{tail}"
+        term = "I" if mag == 1 else f"{mag}I"
+        if self.a == 0:
+            return f"-{term}" if self.b < 0 else term
+        return f"{self.a}{'+' if self.b > 0 else '-'}{term}"
 
 
 #: The pure indeterminacy symbol.
@@ -140,11 +138,6 @@ class RefinedNeutrosophicNumber:
     def __add__(self, other):
         return rnn_add(self, other)
 
-    def __str__(self) -> str:
-        parts = [str(self.a)]
-        parts += [f"{c}I{k}" for k, c in enumerate(self.coeffs, start=1) if c != 0]
-        return " + ".join(parts) if parts else "0"
-
 
 def rnn_add(x: RefinedNeutrosophicNumber, y: RefinedNeutrosophicNumber) -> RefinedNeutrosophicNumber:
     """Coefficient-wise sum; the shorter coefficient list is zero-padded."""
@@ -177,10 +170,6 @@ class NeutroMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]))
-
-    def __getitem__(self, idx: tuple[int, int]) -> NeutrosophicNumber:
-        r, c = idx
-        return self.rows[r][c]
 
     @classmethod
     def identity(cls, n: int) -> "NeutroMatrix":

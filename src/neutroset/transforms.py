@@ -112,9 +112,6 @@ class LabeledSet:
         trips = tuple(Triplet(*elements[n]) for n in names)
         return cls(names, trips, family)
 
-    def items(self):
-        return zip(self.universe, self.triplets)
-
     def element(self, name: str) -> Triplet:
         try:
             return self.triplets[self.universe.index(name)]

@@ -289,12 +289,13 @@ class TestCliContract:
         [
             ["decide", "offset", "--amounts", "-20,45", "--norm", "40"],
             ["decide", "three-ways", "--scores", "-0.5,0.9", "--alpha", "0.7", "--beta", "0.3"],
+            ["decide", "offset", "--amou", "-20,45", "--norm", "40"],
         ],
-        ids=["offset-amounts", "three-ways-scores"],
+        ids=["offset-amounts", "three-ways-scores", "offset-amounts-prefix"],
     )
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_a_number_list_may_start_with_a_negative_value(self, argv, fmt):
-        flag = argv.index("--amounts" if "offset" in argv else "--scores")
+        flag = next(k for k, token in enumerate(argv) if token.startswith("--"))
         joined = argv[:flag] + [f"{argv[flag]}={argv[flag + 1]}"] + argv[flag + 2:]
         code, out, err = run(["--format", fmt, *argv])
         assert (code, err) == (0, "")

@@ -10,6 +10,7 @@ from neutroset.decision import (
     OffsetBounds,
     OffsetClass,
     Partition3,
+    PartitionN,
     Verdict,
     n_ways,
     neutrosophify,
@@ -297,6 +298,24 @@ class TestNonFiniteInputs:
 
     def test_a_large_int_that_fits_a_float_is_accepted(self):
         assert offset_degree(10**300, 10**299) == 10.0
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: PartitionN((), (0.5,), (0.5,)), "accept_levels needs at least one level"),
+            (lambda: PartitionN((0.5,), (0.25,), (0.25,)), "an n-way partition needs at least four bands in total"),
+            (lambda: neutrosophify({"a": "1"}, {"a": Verdict.ACCEPT}), "size of 'a' must be a real number"),
+            (lambda: offset_degree("1", 40), "amount must be a real number, got '1'"),
+            (lambda: validate_offset((0.5, 0.5)), "expected three components, got 2"),
+        ],
+        ids=["no-level", "three-bands", "size-not-real", "amount-not-real", "two-components"],
+    )
+    def test_rejected_with_a_message(self, call, message):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestValidateOffset:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -362,6 +363,11 @@ class TestCliDemo:
         out = capsys.readouterr().out
         assert "section21::conjunct_ns" in out
 
+    def test_round_applies_to_the_table(self, capsys):
+        assert cli.main(["--round", "1", "demo", "section21"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "PASS  section21::conjunct_ifs  got (0.3, 0.2, 0.5)  want (0.3, 0.2, 0.5)" in out
+
     def test_unknown_exhibit(self, capsys):
         assert cli.main(["demo", "nonsense"]) == 2
 
@@ -428,6 +434,13 @@ class TestCliRefinedAndDecide:
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid"] is True
         assert payload["hesitancy"] == pytest.approx(0.3872983346207417)
+
+    def test_refined_refusal(self, capsys):
+        argv = ["--format", "json", "refined", "--kind", "RIIFS", "--t", "0.2,0.1", "--i", "0.3", "--f", "0.1"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] is True
+        assert payload["refusal"] == 1 - (0 + 0.2 + 0.1 + 0.3 + 0.1)
 
     def test_refined_invalid_exit(self, capsys):
         assert cli.main(["refined", "--kind", "RPyFS", "--t", "0.9", "--f", "0.5"]) == 1
@@ -601,7 +614,7 @@ class TestMalformedCalls:
         argv = ["decide", "n-ways", "--scores", "0.9,0.6", "--cuts", "0.25,0.5,0.75", "--arities", "1,x,2"]
         assert "1,x,2" in self._one_line_error(argv, capsys)
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "-1e-3"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance, doc_paths, capsys):
         argv = ["--format", "json", "--tolerance", tolerance, "validate", str(doc_paths[0])]
         assert "--tolerance" in self._one_line_error(argv, capsys)
@@ -682,9 +695,24 @@ class TestMalformedCalls:
             ("decide neutrosophify --sizes a=inf,b=1 --groups a=accept,b=reject", "size of 'a' must be finite, got inf"),
             ("decide neutrosophify --sizes a=1,a=2,b=1 --groups a=accept,b=reject", "size of 'a' given twice"),
             ("decide neutrosophify --sizes a=1,b=1 --groups a=accept,a=reject,b=reject", "group of 'a' given twice"),
+            ("decide neutrosophify --sizes a=1 --groups a=bogus", "group must be accept, neutral, or reject, got 'a=bogus'"),
+            ("decide three-ways --scores 0.9,x --alpha 0.7 --beta 0.3", "expected comma-separated numbers, got '0.9,x'"),
+            ("decide three-ways --scores , --alpha 0.7 --beta 0.3", "scores are empty"),
+            ("decide n-ways --scores , --cuts 0.25,0.5,0.75 --arities 1,1,2", "scores are empty"),
         ],
     )
     def test_decide_input_it_cannot_label_or_print(self, argv, message, capsys):
+        assert self._one_line_error(argv.split(), capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("refined --kind RIFS --t 0.3", "RIFS needs at least one sub-falsehood"),
+            ("refined --kind RIFS --t 0.3 --f -0.1", "subcomponent -0.1 is negative"),
+            ("refined --kind RIFS --t , --f 0.1", "at least one sub-truth component is required"),
+        ],
+    )
+    def test_refined_input_it_cannot_split(self, argv, message, capsys):
         assert self._one_line_error(argv.split(), capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
@@ -1054,6 +1082,15 @@ class TestStartup:
         assert report == {"loaded": [], "not_in_dir": [], "not_starred": [], "triplet_is_core": True}
         assert sorted(neutroset._MODULE_OF) == sorted(neutroset.__all__)
         assert not hasattr(neutroset, "no_such_name")  # so that ``from neutroset import documents`` imports the module
+
+    def test_the_package_resolves_names_in_process(self):
+        for name in neutroset.__all__:
+            module = importlib.import_module(f"neutroset.{neutroset._MODULE_OF[name]}")
+            assert neutroset.__getattr__(name) is getattr(module, name), name
+        with pytest.raises(AttributeError) as info:
+            neutroset.__getattr__("no_such_name")
+        assert str(info.value) == "module 'neutroset' has no attribute 'no_such_name'"
+        assert set(neutroset.__all__) <= set(dir(neutroset))
 
     def test_each_public_name_is_listed_once(self):
         names = [name for names in neutroset._EXPORTS.values() for name in names]

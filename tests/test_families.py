@@ -139,6 +139,8 @@ class TestValidate:
     def test_arity_mismatch(self):
         with pytest.raises(UsageError):
             validate((0.3, 0.4), NS)
+        with pytest.raises(UsageError, match="cannot read components from float"):
+            validate(0.3, NS)
         with pytest.raises(UsageError):
             validate((0.3, 0.4, 0.1), PYFS)
 
@@ -304,6 +306,8 @@ class TestEmbedIntoNs:
     def test_invalid_input_rejected(self):
         with pytest.raises(ConstraintError):
             embed_into_ns(Pair(0.9, 0.8), PYFS)
+        with pytest.raises(UsageError, match="no embedding into NS is defined for FS"):
+            embed_into_ns(Pair(0.9, 0.8), FamilySpec(FamilyKind.FS))
 
     @given(units, units)
     def test_pyfs_embeddings_sum_to_one(self, t, f):

@@ -67,6 +67,24 @@ class TestNumberArithmetic:
         assert 2 + 3 * I == NeutrosophicNumber(2, 3)
         assert (2 + I) * (3 + 2 * I) == NeutrosophicNumber(6, 9)
         assert (2 + I) - (1 + I) == NeutrosophicNumber(1, 0)
+        assert 1 - I == NeutrosophicNumber(1, -1)
+
+    def test_only_real_numbers_coerce(self):
+        with pytest.raises(UsageError, match="cannot treat str as a neutrosophic number"):
+            I + "1"
+
+    @pytest.mark.parametrize(
+        "a, b, text",
+        [
+            (1, 2, "1+2I"),
+            (1, -1, "1-I"),
+            (0, -1, "-I"),
+            (Fraction(1, 2), Fraction(-3, 2), "1/2-3/2I"),
+            (0.5, -0.25, "0.5-0.25I"),
+        ],
+    )
+    def test_str(self, a, b, text):
+        assert str(NeutrosophicNumber(a, b)) == text
 
     @given(nn_rationals, nn_rationals)
     def test_product_matches_symbolic_oracle(self, x, y):
@@ -106,6 +124,7 @@ class TestPowers:
 
     def test_real_cube(self):
         assert nn_pow(NeutrosophicNumber(2, 0), 3) == NeutrosophicNumber(8, 0)
+        assert NeutrosophicNumber(2, 0) ** 3 == NeutrosophicNumber(8, 0)
 
     def test_zeroth_power_of_indeterminacy_undefined(self):
         with pytest.raises(UndefinedOperationError):
@@ -137,6 +156,7 @@ class TestRefinedNumbers:
             RefinedNeutrosophicNumber(1, (2, 0)), RefinedNeutrosophicNumber(2, (1, 3))
         )
         assert got == RefinedNeutrosophicNumber(3, (3, 3))
+        assert RefinedNeutrosophicNumber(1, (2, 0)) + RefinedNeutrosophicNumber(2, (1, 3)) == got
 
     def test_zero_padding(self):
         got = rnn_add(RefinedNeutrosophicNumber(0, (1,)), RefinedNeutrosophicNumber(0, (0, 2)))
@@ -193,6 +213,10 @@ class TestMatrices:
             nm_add(self.SHOWCASE, NeutroMatrix(((I,),)))
         with pytest.raises(UsageError):
             nm_mul(NeutroMatrix(((I, I),)), NeutroMatrix(((I, I),)))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(UsageError, match="at least one row and one column"):
+            NeutroMatrix(())
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(UsageError):
@@ -253,6 +277,9 @@ class TestAdjacency:
     def test_alphabet_enforced_at_construction(self):
         with pytest.raises(UsageError):
             NeutroAdjacency.from_rows(((NeutrosophicNumber(0.5), I), (I, I)))
+        with pytest.raises(UsageError) as info:
+            NeutroAdjacency.from_rows(((NeutrosophicNumber(1, 2),),))
+        assert str(info.value) == "entry (0, 0) = 1+2I is outside the alphabet {0, 1, -1, I}"
 
     def test_round_trip_is_bit_exact(self):
         for text in (GRAPH_TEXT, NCM_TEXT):
@@ -261,6 +288,11 @@ class TestAdjacency:
     def test_parse_tolerates_loose_whitespace(self):
         loose = "0   1 \nI  0\n"
         assert emit_adjacency(parse_adjacency(loose)) == "0 1\nI 0\n"
+        assert emit_adjacency(parse_adjacency("\n0 1\n \nI 0\n\n")) == "0 1\nI 0\n"
+
+    def test_text_without_rows_rejected(self):
+        with pytest.raises(UsageError, match="adjacency text contains no rows"):
+            parse_adjacency(" \n\n")
 
     def test_non_square_rejected(self):
         with pytest.raises(UsageError):

@@ -296,6 +296,26 @@ class TestRefineCoarsen:
         with pytest.raises(UsageError):
             refine(Triplet(0.6, 0.2, 0.4), (2, 1, 1), weights=((1,), (1,), (1,)))
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: RefinedComponents(t=("0.5",)), UsageError, "expected a real subcomponent, got str"),
+            (lambda: refine(Triplet(0.6, 0.2, 0.4), (0, 1, 1)), UsageError,
+             "arities must be (p >= 1, r >= 0, s >= 0), got (0, 1, 1)"),
+            (lambda: refine(Triplet(0.6, 0.2, 0.4), (2, 1, 1), weights=((2, -1), (1,), (1,))), UsageError,
+             "weights must be nonnegative"),
+            (lambda: coarsen(RefinedComponents(t=(IntervalValue(0.1, 0.2),))), UsageError,
+             "cannot coarsen interval subcomponents to a scalar triplet"),
+            (lambda: coarsen(RefinedComponents(t=(0.75, 0.5))), ComponentRangeError,
+             "slot sum 1.25 exceeds 1; not collapsible to a unit triplet"),
+        ],
+        ids=["not-real", "no-sub-truth-slot", "negative-weight", "interval", "slot-past-one"],
+    )
+    def test_malformed_input_rejected(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_empty_slot_requires_zero_component(self):
         refine(Triplet(0.5, 0.0, 0.2), (2, 0, 1))
         with pytest.raises(UsageError):

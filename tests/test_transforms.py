@@ -35,6 +35,21 @@ class TestLabeledSet:
         with pytest.raises(UsageError):
             LabeledSet(("x1", "x1"), (Triplet(0, 0, 0), Triplet(0, 0, 0)), NS_TAG)
 
+    @pytest.mark.parametrize(
+        "universe, elements, message",
+        [
+            ((), (), "universe is empty"),
+            (("x1",), ((0.1, 0.2, 0.3),), "set elements must be Triplets, got tuple"),
+        ],
+    )
+    def test_malformed_sets_rejected(self, universe, elements, message):
+        with pytest.raises(UsageError) as info:
+            LabeledSet(universe, elements, NS_TAG)
+        assert str(info.value) == message
+
+    def test_a_set_equals_no_other_type(self):
+        assert A_N.__eq__(A_N.rows) is NotImplemented and A_N != A_N.rows
+
     def test_element_lookup(self):
         assert A_N.element("x2") == Triplet(0.9, 0.2, 0.6)
         with pytest.raises(UsageError):
