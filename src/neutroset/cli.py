@@ -4,14 +4,18 @@ Subcommands: ``validate``, ``op``, ``transform``, ``demo``, ``volume``,
 ``refined``, ``matrix``, ``decide``. Global flags select output format,
 rounding, tolerance, and the sampling seed. Every command is deterministic
 for fixed inputs and flags. Exit status 0 means all checks passed, 1 that a
-check failed, 2 a usage or document error, 3 an internal error.
+check failed, 2 a usage or document error, 3 an internal error, 4 that
+the output could not be written to stdout; a reader that closes stdout
+early ends the call quietly, with the command's own status.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -585,8 +589,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the output, argparse's help among it, is held until the command has run, so that writing it out is
+    # the one write to stdout and a failed write is told apart from an error of the input
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = None  # if the command raises (--debug, an interrupt), what it printed is still written
+    try:
+        code = _run(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse ends the call after --help or a usage error; its status is returned
+        code = exc.code
+    finally:
+        output, sys.stdout = sys.stdout.getvalue(), stdout
+        code = _write_output(output, code)
+    return code
+
+
+def _run(args) -> int:
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
@@ -608,6 +625,26 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+
+
+def _write_output(output: str, code: int | None) -> int | None:
+    """Write ``output`` to stdout and return ``code``, or 4 if the write failed other than on a closed pipe."""
+    if not output:  # a device such as /dev/full refuses even an empty write
+        return code
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stays unwritten goes to devnull, so that the flush at exit does not fail again
+        # (the pattern of Python's note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return code  # the reader stopped reading: that is its choice, not an error of this call
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 4
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -155,34 +157,43 @@ def load(path: str | Path, validate_elements: bool = True) -> ElementSetDocument
 def dumps(doc: ElementSetDocument) -> str:
     """Serialize back to JSON, preserving component values at full precision.
 
-    The text is what ``json.dumps(payload, indent=2)`` writes, laid out here
-    row by row: that encoder runs in pure Python once it indents.
+    The text is what ``json.dumps(payload, indent=2)`` writes. That encoder
+    runs in pure Python once it indents, so ``dumps`` writes the rows itself:
+    one %-template for the whole element block, applied once to every name
+    and value. A document that template cannot hold (a name that is not
+    text, names given twice or not one per row, rows of mixed lengths, NaN or
+    an infinity, which json spells its own way) goes through ``json.dumps``.
     """
     family = {
         "kind": doc.family.kind.value,
         **({"exponent": doc.family.exponent} if doc.family.exponent is not None else {}),
     }
-    elements = {name: [float(v) for v in row] for name, row in zip(doc.universe, doc.components)}
-    names_are_text = all(isinstance(name, str) for name in doc.universe)
-    # a non-finite sum means NaN or an infinity somewhere, which json spells its own way
-    if not (names_are_text and math.isfinite(sum(map(sum, elements.values())))):
-        payload = {"format_version": FORMAT_VERSION, "family": family, "universe": list(doc.universe),
-                   "elements": elements}
-        return json.dumps(payload, indent=2) + "\n"
-    head = json.dumps({"format_version": FORMAT_VERSION, "family": family}, indent=2)[:-2]  # drop "\n}"
-    name = encode_basestring_ascii
-    templates = {arity: _row_template(arity) for arity in set(map(len, elements.values()))}
-    blocks = [templates[len(values)] % (name(key), *values) for key, values in elements.items()]
-    universe = ",".join(["\n    " + name(n) for n in doc.universe])
-    return "".join(
-        [head, ',\n  "universe": [', universe, "\n  ]" if universe else "]",
-         ',\n  "elements": {', ",".join(blocks), "\n  }" if blocks else "}", "\n}\n"]
-    )
+    head = {"format_version": FORMAT_VERSION, "family": family}
+    universe, rows = doc.universe, doc.components
+    arities = set(map(len, rows))
+    if (len(arities) == 1 and len(universe) == len(rows) and all(map(isinstance, universe, repeat(str)))
+            and len(set(universe)) == len(universe)):
+        values = list(map(float, chain.from_iterable(rows)))
+        # a non-finite sum means NaN or an infinity somewhere
+        if math.isfinite(sum(values)):
+            return _layout(head, list(map(encode_basestring_ascii, universe)), values, arities.pop())
+    elements = {name: [float(v) for v in row] for name, row in zip(universe, rows)}
+    return json.dumps({**head, "universe": list(universe), "elements": elements}, indent=2) + "\n"
 
 
-def _row_template(arity: int) -> str:
-    """One element as ``json.dumps(indent=2)`` lays it out: a %-template for its name and ``arity`` floats."""
-    return "\n    %s: [" + ",".join(["\n      %r"] * arity) + ("\n    ]" if arity else "]")
+def _layout(head: dict, names: list, values: list, arity: int) -> str:
+    """The document text of ``json.dumps(indent=2)``, from encoded names and their rows' values, flat."""
+    step = arity + 1
+    cells = [None] * (len(names) * step)  # name 0, its values, name 1, its values, ...
+    cells[::step] = names
+    for k in range(arity):
+        cells[k + 1 :: step] = values[k::arity]
+    row = "\n    %s: [" + ",".join(["\n      %r"] * arity) + ("\n    ]" if arity else "]")
+    return "".join([
+        json.dumps(head, indent=2)[:-2],  # without its closing "\n}"
+        ',\n  "universe": [\n    ', ",\n    ".join(names),
+        '\n  ],\n  "elements": {', ",".join([row] * len(names)) % tuple(cells), "\n  }\n}\n",
+    ])
 
 
 def dump(doc: ElementSetDocument, path: str | Path) -> None:
@@ -190,7 +201,11 @@ def dump(doc: ElementSetDocument, path: str | Path) -> None:
 
 
 def from_labeled_set(s: LabeledSet) -> ElementSetDocument:
-    # a pair family's set holds sum-1 triplets it has checked; narrowing drops their derived middle slot
-    keep = slice(None) if s.family.arity == 3 else slice(None, None, 2)
-    rows = tuple(tuple(map(float, row[keep])) for row in s.scalar_rows())
-    return ElementSetDocument(family=s.family, universe=s.universe, components=rows)
+    """The document of a set, its components as floats."""
+    rows = s.scalar_rows()
+    # a pair family's set holds sum-1 triplets it has checked; (t, f) drops their derived middle slot
+    if s.family.arity == 2:
+        rows = map(itemgetter(0, 2), rows)
+    if not {float}.issuperset(map(type, chain.from_iterable(s.rows))):  # ints, Fractions or intervals
+        rows = (tuple(map(float, row)) for row in rows)
+    return ElementSetDocument(family=s.family, universe=s.universe, components=tuple(rows))

@@ -3,15 +3,21 @@
 Whatever the input, a call exits 0, 1 or 2 and prints no traceback. Exit 2
 prints one ``error:`` (or ``document error:``) line, or argparse's usage
 followed by one ``error:`` line. A component out of range is reported with
-the name of its element.
+the name of its element. Where stdout fails, the input is not at fault: a
+closed pipe ends the call quietly with the command's own status, and any
+other failed write exits 4 with one ``error:`` line.
 """
 
 import argparse
 import contextlib
 import copy
+import errno
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +25,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import neutroset
 from neutroset import cli
 
 #: One valid document per family shape; element "c" of NS sums to zero, which normalize rejects.
@@ -305,6 +312,81 @@ class TestCliContract:
         code, out, err = run(["decide", "offset", "--amounts", "-20,45", "--norm", "40", "--bogus"])
         assert_contract(code, err)
         assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--format", "json", "demo", "--all"], 0),
+        (["--help"], 0),
+        (["validate", "{a}"], 0),
+        (["validate", "{a}", "--family", "IIFS"], 1),
+    ])
+    def test_a_closed_pipe_ends_the_call_quietly_with_its_own_status(self, argv, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the first write fails with EPIPE
+        try:
+            with files_of("NS", ("none",)) as files:
+                assert run_child([arg.format(**files) for arg in argv], write_end) == (code, "")
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--format", "json", "demo", "--all"], ["--help"]])
+    def test_a_failed_write_to_stdout_exits_4_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(argv, full)
+        assert (code, err) == (4, "error: cannot write the output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_an_input_error_with_nothing_to_write_is_still_a_usage_error(self, unbuffered):
+        """A call that prints nothing writes nothing: unbuffered, even an empty write reaches /dev/full and fails."""
+        with files_of("NS", ("none",)) as files, open("/dev/full", "w") as full:
+            code, err = run_child(["validate", files["missing"]], full, PYTHONUNBUFFERED=unbuffered)
+        assert code == 2 and err == f"error: [Errno 2] No such file or directory: {files['missing']!r}\n"
+
+    def test_out_into_a_missing_directory_is_still_a_usage_error(self):
+        with files_of("NS", ("none",)) as files:
+            code, err = run_child(["op", "--op", "not", files["a"], "--out", files["missing_dir"]],
+                                  subprocess.DEVNULL)
+        assert code == 2 and err == f"error: [Errno 2] No such file or directory: {files['missing_dir']!r}\n"
+
+    @pytest.mark.parametrize("error, code, err", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
+        (OSError(errno.ENOSPC, "No space left on device"),
+         4, "error: cannot write the output: [Errno 28] No space left on device\n"),
+    ])
+    def test_what_stays_unwritten_goes_to_devnull(self, tmp_path, error, code, err):
+        """In process: after a failed write, stdout's descriptor is devnull, so the flush at exit cannot fail."""
+
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise error
+
+            def fileno(self):
+                return fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            out, errors = FailingStdout(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errors):
+                assert cli.main(["demo", "--list"]) == code
+            assert errors.getvalue() == err
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+
+def run_child(argv, stdout, **variables) -> tuple[int, str]:
+    """Exit status and stderr of ``python -m neutroset.cli`` with ``argv``, its stdout at ``stdout``.
+
+    The child's stdout is block-buffered, as a plain call's is, so that what stays in the buffer is flushed at exit,
+    unless ``variables`` (environment variables for the child) set ``PYTHONUNBUFFERED``.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(variables, PYTHONPATH=str(Path(neutroset.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "neutroset.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                           env=env, text=True, timeout=60)
+    assert "Traceback" not in child.stderr
+    return child.returncode, child.stderr
 
 
 # Well-formed calls only: valid documents, and flags and values each command accepts. Every such call

@@ -1,6 +1,8 @@
 import importlib
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import neutroset
@@ -16,6 +18,7 @@ from neutroset import cli, documents
 from neutroset.core import Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
+from neutroset.operators import Op, OperatorSystem, SystemKind, setwise
 from neutroset.transforms import LabeledSet
 
 A_N_DOC = {
@@ -172,6 +175,105 @@ class TestDumps:
     def test_round_trip_of_a_set(self):
         doc = documents.loads(json.dumps(A_N_DOC))
         assert documents.dumps(documents.from_labeled_set(doc.to_labeled_set())) == json_layout(doc)
+
+    def test_same_bytes_as_json_for_a_name_given_twice(self):
+        """json keeps one entry per name, its last row at its first place; a name per row is not enough."""
+        rows = ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9))
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("a", "b", "a"), rows)
+        assert documents.dumps(doc) == json_layout(doc)
+
+    @pytest.mark.parametrize("kind, arity", [("NS", 3), ("IFS", 2)])
+    def test_same_bytes_as_json_for_a_result_of_3000_elements(self, kind, arity):
+        rng = random.Random(7)
+        universe = [f"x{k:05d}" for k in range(3000)]
+
+        def operand():
+            rows = [[rng.random() for _ in range(arity)] for _ in universe]
+            if kind == "IFS":
+                rows = [[t, f * (1 - t)] for t, f in rows]
+            text = json.dumps({"format_version": 1, "family": {"kind": kind}, "universe": universe,
+                               "elements": dict(zip(universe, rows))})
+            return documents.loads(text).to_labeled_set()
+
+        doc = documents.from_labeled_set(setwise(operand(), operand(), Op.AND, OperatorSystem(SystemKind(kind))))
+        assert documents.dumps(doc) == json_layout(doc)
+
+    def test_same_bytes_as_json_for_3000_int_and_fraction_rows(self):
+        rng = random.Random(8)
+        values = [0, 1, Fraction(1, 3), Fraction(2, 7), 0.5, Fraction(10**20 + 1, 10**21)]
+        rows = tuple(tuple(rng.choice(values) for _ in range(3)) for _ in range(3000))
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), tuple(f"e{k}" for k in range(3000)), rows)
+        assert documents.dumps(doc) == json_layout(doc)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.NS, FamilyKind.IFS])
+    def test_a_set_of_ints_and_fractions_gives_float_components(self, kind):
+        rows = [(1, 0, 0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), (0.5, Fraction(1, 4), Fraction(1, 4))]
+        s = LabeledSet(("a", "b", "c"), [Triplet(*row) for row in rows], FamilySpec(kind))
+        doc = documents.from_labeled_set(s)
+        keep = slice(None) if kind is FamilyKind.NS else slice(None, None, 2)
+        assert [[(type(v), v) for v in row] for row in doc.components] == [
+            [(float, float(v)) for v in row[keep]] for row in rows
+        ]
+
+
+#: Cells with their kind: "type" for a cell no family reads as a component (a wrong type, a row of the wrong
+#: length), "never" for one every family refuses (NaN, the infinities, below 0, too large a float), "some" for a
+#: hair past 1, which a family with a larger component cap admits.
+BAD_CELLS = [(True, "type"), ("0.5", "type"), (None, "type"), ([0.5], "type"), ("arity", "type"),
+             (float("nan"), "never"), (float("inf"), "never"), (float("-inf"), "never"), (-1e-12, "never"),
+             (10**400, "never"), (math.nextafter(1.0, 2.0), "some")]
+LOADED_FAMILIES = [{"kind": "NS"}, {"kind": "IIFS"}, {"kind": "IFS"}, {"kind": "SNS"}, {"kind": "NHSNS", "exponent": 2}]
+
+
+class TestBadCells:
+    """``loads`` checks every row's type and length before any range, and names the first element to fail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(LOADED_FAMILIES),
+        st.integers(1, 8).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.sampled_from(BAD_CELLS)),
+                     min_size=1, max_size=2, unique_by=lambda cell: cell[0]),  # one bad cell per element
+        )),
+        st.booleans(),
+        st.data(),
+    )
+    def test_a_bad_cell_is_blamed_on_its_element(self, tag, bad, validate_elements, data):
+        n, cells = bad
+        family = documents.family_from_tag(tag["kind"], tag.get("exponent"))
+        small = st.one_of(st.floats(0, 1 / 3), st.sampled_from([0, -0.0, 0.25]))  # every row sums to at most 1
+        rows = data.draw(st.lists(st.lists(small, min_size=family.arity, max_size=family.arity),
+                                  min_size=n, max_size=n))
+        for k, position, (cell, _) in cells:
+            if cell == "arity":
+                rows[k] = rows[k] + [0.0] if position % 2 else rows[k][:-1]
+            elif rows[k]:
+                rows[k][position % len(rows[k])] = cell
+            else:
+                rows[k] = [cell]
+        universe = [f"e{k}" for k in range(n)]
+        text = json.dumps({"format_version": 1, "family": tag, "universe": universe,
+                           "elements": dict(zip(universe, rows))})
+        blamed = {kind: min([k for k, _, (_, of) in cells if of == kind], default=n) for kind in ("type", "never")}
+        out_of_range = {k for k, _, (_, of) in cells if of != "type"}
+        if blamed["type"] < n:
+            want = re.escape(f"element 'e{blamed['type']}': ") + "(components must|.* takes)"
+        elif validate_elements and blamed["never"] < n:
+            want = "element 'e(%s)' invalid: " % "|".join(str(k) for k in out_of_range if k <= blamed["never"])
+        else:
+            event("loads")
+            try:
+                loaded = documents.loads(text, validate_elements)
+            except documents.DocumentError as exc:  # a hair past 1, where the family refuses it
+                assert validate_elements
+                assert re.match("element 'e(%s)' invalid: " % "|".join(map(str, out_of_range)), str(exc))
+            else:
+                assert repr(loaded.components) == repr(tuple(map(tuple, rows)))
+            return
+        event("raises")
+        with pytest.raises(documents.DocumentError, match=f"^{want}"):
+            documents.loads(text, validate_elements)
 
 
 class TestCliValidate:
