@@ -26,7 +26,6 @@ _EXPORTS = {
         "UnitValue",
         "UsageError",
         "dependence_sum_bound",
-        "make_unit",
     ),
     "families": (
         "CubeRegion",

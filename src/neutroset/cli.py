@@ -5,8 +5,9 @@ Subcommands: ``validate``, ``op``, ``transform``, ``demo``, ``volume``,
 rounding, tolerance, and the sampling seed. Every command is deterministic
 for fixed inputs and flags. Exit status 0 means all checks passed, 1 that a
 check failed, 2 a usage or document error, 3 an internal error, 4 that
-the output could not be written to stdout; a reader that closes stdout
-early ends the call quietly, with the command's own status.
+the output could not be written to stdout or to the ``--out`` file; a
+reader that closes stdout early ends the call quietly, with the command's
+own status.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _cmd_op(args) -> int:
         set_b = doc_b.to_labeled_set()
     result = setwise(set_a, set_b, op, sys_)
     if args.out:
-        documents.dump(documents.from_labeled_set(result), args.out)
+        _dump(documents.dumps(documents.from_labeled_set(result)), args.out)
     rows = []
     b_rows = set_b.scalar_rows() if set_b is not None else [None] * len(result.universe)
     for name, a, b, r in zip(result.universe, set_a.scalar_rows(), b_rows, result.scalar_rows()):
@@ -244,7 +245,7 @@ def _cmd_transform(args) -> int:
         for row, refusal in zip(rows, res.refusals):
             row["refusal"] = float(refusal.v)
     if args.out:
-        documents.dump(documents.from_labeled_set(result), args.out)
+        _dump(documents.dumps(documents.from_labeled_set(result)), args.out)
     payload = {
         "command": f"transform {args.method}",
         "input_digest": digest,
@@ -255,6 +256,24 @@ def _cmd_transform(args) -> int:
     }
     _render(payload, args.format, args.round)
     return 0
+
+
+class _OutputError(Exception):
+    """A write of the result document failed: an output-side fault, as a failed stdout is (exit 4)."""
+
+
+def _dump(text: str, path: str) -> None:
+    """Write ``text`` to the file ``path``.
+
+    A path that cannot be opened is the caller's error: its ``OSError`` goes up (exit 2). A failed write
+    or close of the opened file raises :class:`_OutputError`.
+    """
+    out = open(path, "w", encoding="utf-8")
+    try:
+        with out:
+            out.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
 
 
 def _cmd_demo(args) -> int:
@@ -610,6 +629,9 @@ def _run(args) -> int:
         if args.round is not None and args.round < 0:
             raise UsageError(f"--round must be >= 0, got {args.round}")
         return args.fn(args)
+    except _OutputError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 4
     except DocumentError as exc:
         print(f"document error: {exc}", file=sys.stderr)
         return 2

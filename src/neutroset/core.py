@@ -106,7 +106,12 @@ def _check_unit_range(x: Real) -> Real:
 
 @dataclass(frozen=True)
 class UnitValue:
-    """A scalar degree in [0, 1]."""
+    """A scalar degree in [0, 1].
+
+    Values outside [0, 1] raise :class:`ComponentRangeError` carrying the
+    offending value; degrees beyond the unit interval are only meaningful
+    in :mod:`neutroset.decision` (over/under/off sets).
+    """
 
     v: Real
 
@@ -116,21 +121,13 @@ class UnitValue:
             return  # the common cases, as in as_component
         _check_unit_range(_check_real(v))
 
-    @property
-    def sup(self) -> Real:
-        return self.v
-
-    @property
-    def inf(self) -> Real:
-        return self.v
-
 
 @dataclass(frozen=True)
 class IntervalValue:
     """A closed subinterval of [0, 1].
 
-    A degenerate interval (lo == hi) is accepted anywhere a scalar is and
-    behaves identically to the corresponding :class:`UnitValue`.
+    A degenerate interval (lo == hi) is accepted anywhere a scalar is:
+    :func:`scalar_of` collapses it to ``lo``.
     """
 
     lo: Real
@@ -143,21 +140,8 @@ class IntervalValue:
             raise ComponentRangeError((self.lo, self.hi), f"interval [{self.lo}, {self.hi}] is empty")
 
     @property
-    def sup(self) -> Real:
-        return self.hi
-
-    @property
-    def inf(self) -> Real:
-        return self.lo
-
-    @property
     def degenerate(self) -> bool:
         return self.lo == self.hi
-
-    def as_unit(self) -> UnitValue:
-        if not self.degenerate:
-            raise UsageError(f"interval [{self.lo}, {self.hi}] is not degenerate")
-        return UnitValue(self.lo)
 
 
 #: Anything accepted as one component: a raw number, a UnitValue, or an interval.
@@ -279,16 +263,6 @@ class Pair:
             raise UsageError(f"triplet components sum to {s}, not 1; cannot drop the middle component")
         t, _, f = triplet.scalars()
         return cls(t, f)
-
-
-def make_unit(v: Real) -> UnitValue:
-    """Validate ``v`` into a :class:`UnitValue`.
-
-    Values outside [0, 1] raise :class:`ComponentRangeError` carrying the
-    offending value; degrees beyond the unit interval are only meaningful
-    in :mod:`neutroset.decision` (over/under/off sets).
-    """
-    return UnitValue(v)
 
 
 def _sum_bound(n: int, d: Real) -> Real:

@@ -254,7 +254,7 @@ def exhibit_counterexample5() -> list[Check]:
 
 
 def exhibit_counterexample6() -> list[Check]:
-    """Full membership plus any positive falsehood overflows every q-rung bound."""
+    """Full membership plus a falsehood of 0.5 overflows the q-rung bound by 0.5**q, here at q = 1, 2 and 5."""
     checks = []
     for q in (1, 2, 5):
         report = validate(Pair(1.0, 0.5), FamilySpec(FamilyKind.QROFS, q))

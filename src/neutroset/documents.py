@@ -196,10 +196,6 @@ def _layout(head: dict, names: list, values: list, arity: int) -> str:
     ])
 
 
-def dump(doc: ElementSetDocument, path: str | Path) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
-
-
 def from_labeled_set(s: LabeledSet) -> ElementSetDocument:
     """The document of a set, its components as floats."""
     rows = s.scalar_rows()

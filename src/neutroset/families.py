@@ -455,13 +455,16 @@ def _widened(pairs) -> list:
     return [(t, leftover(0 + t + f), f) for t, f in pairs]
 
 
+#: Full membership in every slot: NS-valid, with a (powered) sum of at least 2 under every exponent.
+_FULL = Triplet(1.0, 1.0, 1.0)
+
 #: Canonical witnesses: valid neutrosophic triplets rejected by the target family, with the
 #: exponent a claim on a family that takes one checks when the caller gives none.
 _WITNESSES = {
     InclusionClaim.NS_NOT_SFS: (Triplet(0.9, 0.4, 0.5), FamilyKind.SFS, None),
     InclusionClaim.NS_NOT_QROFS: (Triplet(1.0, 0.5, 0.5), FamilyKind.QROFS, 2),
     InclusionClaim.NS_NOT_NHSFS: (Triplet(1.0, 0.5, 0.5), FamilyKind.NHSFS, 2),
-    InclusionClaim.NS_NOT_IIFS: (Triplet(1.0, 1.0, 1.0), FamilyKind.IIFS, None),
+    InclusionClaim.NS_NOT_IIFS: (_FULL, FamilyKind.IIFS, None),
 }
 
 
@@ -469,19 +472,18 @@ def find_counterexample(claim: InclusionClaim, exponent: Real | None = None) -> 
     """A fixed triplet that is neutrosophic-valid but invalid for the claimed target family.
 
     Witnesses are constants so downstream golden tests stay stable. For the
-    exponent families the returned triplet has a full membership slot plus a
-    positive second component, which overflows the bound for every
-    exponent >= 1; the other targets take no exponent and ignore it.
+    exponent families the canonical triplet has a full membership slot plus
+    0.5 in its other slots, which overflow the bound by ``0.5**e`` each; from
+    e = 30 (QROFS) or 31 (NHSFS) that lies within the tolerance, and the full
+    triplet (1, 1, 1) stands in. The other targets take no exponent and ignore it.
     """
     witness, kind, default_exponent = _WITNESSES[claim]
-    ns_ok = validate(witness, FamilySpec(FamilyKind.NS)).valid
     if default_exponent is None or exponent is None:
         exponent = default_exponent  # a target without a default takes no exponent
     target = FamilySpec(kind, exponent)
     target_components = witness if target.arity == 3 else Pair(witness.t, witness.f)
-    target_ok = validate(target_components, target).valid
-    if not ns_ok or target_ok:
-        raise AssertionError(f"canonical witness for {claim.value} failed its defining check")
+    if validate(target_components, target).valid:
+        return _FULL
     return witness
 
 

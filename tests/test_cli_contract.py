@@ -349,6 +349,16 @@ class TestCliContract:
                                   subprocess.DEVNULL)
         assert code == 2 and err == f"error: [Errno 2] No such file or directory: {files['missing_dir']!r}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [["op", "--op", "not", "{a}"], ["transform", "{a}", "--method", "sup"]])
+    def test_a_failed_write_to_out_exits_4_with_one_line(self, command):
+        """The result document opens on /dev/full but cannot be written: the output's fault, not the input's."""
+        err = "error: cannot write the output: [Errno 28] No space left on device\n"
+        with files_of("NS", ("none",)) as files:
+            argv = ["--format", "json", *(arg.format(**files) for arg in command), "--out", "/dev/full"]
+            assert run_child(argv, subprocess.DEVNULL) == (4, err)
+            assert run(argv) == (4, "", err)  # in process too, where the line tracer sees it
+
     @pytest.mark.parametrize("error, code, err", [
         (BrokenPipeError(errno.EPIPE, "Broken pipe"), 0, ""),
         (OSError(errno.ENOSPC, "No space left on device"),

@@ -18,10 +18,11 @@ from neutroset.core import (
     UsageError,
     as_component,
     dependence_sum_bound,
+    inf_of,
     leftover,
-    make_unit,
     scalar_of,
     sums_to_one,
+    sup_of,
     within,
 )
 from neutroset.families import FAMILY_TABLE, FamilyKind, FamilySpec, ValidationReport, validate
@@ -31,30 +32,30 @@ from neutroset.refined import RefinedKind
 units = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-class TestMakeUnit:
+class TestUnitValue:
     def test_plain_value(self):
-        assert make_unit(0.3).v == 0.3
+        assert UnitValue(0.3).v == 0.3
 
     def test_boundary(self):
-        assert make_unit(1.0).v == 1.0
-        assert make_unit(0.0).v == 0.0
+        assert UnitValue(1.0).v == 1.0
+        assert UnitValue(0.0).v == 0.0
 
     def test_overset_value_rejected(self):
         # 45 hours against a 40-hour norm is 1.125, an off-range degree
         with pytest.raises(ComponentRangeError) as exc:
-            make_unit(1.125)
+            UnitValue(1.125)
         assert exc.value.value == 1.125
 
     def test_negative_rejected(self):
         with pytest.raises(ComponentRangeError):
-            make_unit(-0.5)
+            UnitValue(-0.5)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ComponentRangeError):
-            make_unit(float("nan"))
+            UnitValue(float("nan"))
 
     def test_exact_types_preserved(self):
-        assert make_unit(Fraction(1, 3)).v == Fraction(1, 3)
+        assert UnitValue(Fraction(1, 3)).v == Fraction(1, 3)
 
 
 class TestDependenceSumBound:
@@ -96,13 +97,10 @@ class TestIntervalValue:
     def test_degenerate_collapses_to_scalar(self):
         iv = IntervalValue(0.4, 0.4)
         assert iv.degenerate
-        assert iv.as_unit() == UnitValue(0.4)
         assert scalar_of(iv) == 0.4
 
     def test_nondegenerate_is_not_scalar(self):
         iv = IntervalValue(0.2, 0.4)
-        with pytest.raises(UsageError):
-            iv.as_unit()
         with pytest.raises(UsageError):
             scalar_of(iv)
 
@@ -110,7 +108,7 @@ class TestIntervalValue:
     def test_degenerate_sup_inf_match_unit(self, v):
         iv = IntervalValue(v, v)
         uv = UnitValue(v)
-        assert iv.sup == uv.sup and iv.inf == uv.inf
+        assert sup_of(iv) == inf_of(iv) == uv.v
 
 
 class TestTriplet:

@@ -59,7 +59,7 @@ class TestDocuments:
             )
         )
         path = tmp_path / "doc.json"
-        documents.dump(doc, path)
+        path.write_text(documents.dumps(doc), encoding="utf-8")
         again = documents.load(path)
         assert again.components[0] == tuple(values)
         assert again == doc

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -345,8 +346,15 @@ class TestCounterexamples:
         assert find_counterexample(InclusionClaim.NS_NOT_QROFS) == Triplet(1.0, 0.5, 0.5)
         assert find_counterexample(InclusionClaim.NS_NOT_NHSFS) == Triplet(1.0, 0.5, 0.5)
 
+    def test_the_full_triplet_stands_in_where_the_canonical_one_is_within_tolerance(self):
+        assert find_counterexample(InclusionClaim.NS_NOT_QROFS, 29) == Triplet(1.0, 0.5, 0.5)
+        assert find_counterexample(InclusionClaim.NS_NOT_QROFS, 30) == Triplet(1.0, 1.0, 1.0)
+        assert find_counterexample(InclusionClaim.NS_NOT_NHSFS, 30) == Triplet(1.0, 0.5, 0.5)
+        assert find_counterexample(InclusionClaim.NS_NOT_NHSFS, 31) == Triplet(1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("claim", list(InclusionClaim))
-    @pytest.mark.parametrize("exponent", [1, 2, 5])
+    # past 29 the canonical (1, 0.5, 0.5) overflows the QROFS bound by 0.5**e <= ABS_TOL, past 30 the NHSFS one
+    @pytest.mark.parametrize("exponent", [1, 2, 5, 29, 30, 31, 100, 10**6, sys.float_info.max])
     def test_witness_is_ns_valid_and_target_invalid(self, claim, exponent):
         witness = find_counterexample(claim, exponent)
         assert validate(witness, NS).valid

@@ -35,8 +35,6 @@ ALLOWED = {
     ("families.py", "except AttributeError:  # no affinity mask on this platform"):
         "os.cpu_count fallback, for a platform without os.sched_getaffinity",
     ("families.py", "cpus = os.cpu_count() or 1"): "os.cpu_count fallback, for a platform without os.sched_getaffinity",
-    ("families.py", 'raise AssertionError(f"canonical witness for {claim.value} failed its defining check")'):
-        "self-check of the witness table, which raises only if the table is wrong",
     ("demos.py", "return {name: fn() for name, fn in EXHIBITS.items()}"): "demos.run_all: only perfbench calls it",
     ("_kernels/__init__.py", 'return "numpy"'): "_kernels.backend_name: only perfbench calls it",
 }
