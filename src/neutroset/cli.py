@@ -54,7 +54,6 @@ def _read(path: str) -> tuple[str, str]:
     still reports the input's digest.
     """
     import hashlib
-    import io
 
     data = Path(path).read_bytes()
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()

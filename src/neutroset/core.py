@@ -256,10 +256,10 @@ class Pair:
         return (self.t, self.f)
 
     @classmethod
-    def from_triplet(cls, triplet: Triplet, tol: float = ABS_TOL) -> "Pair":
-        """Down-convert a triplet summing to 1 within ``tol``, dropping its derivable middle component."""
+    def from_triplet(cls, triplet: Triplet) -> "Pair":
+        """Down-convert a triplet summing to 1 within ``ABS_TOL``, dropping its derivable middle component."""
         s = triplet.component_sum()
-        if not sums_to_one(s, tol):
+        if not sums_to_one(s):
             raise UsageError(f"triplet components sum to {s}, not 1; cannot drop the middle component")
         t, _, f = triplet.scalars()
         return cls(t, f)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, as_component
+from neutroset.core import ABS_TOL, ComponentRangeError, DocumentError, UsageError, _check_real, _check_unit_range
 from neutroset.families import (
     FamilyKind,
     FamilySpec,
@@ -55,21 +54,19 @@ class ElementSetDocument:
     checked: bool = field(default=False, init=False, compare=False)
 
     def to_labeled_set(self) -> LabeledSet:
-        """The set of these elements; a component outside [0, 1], which no set holds, names its element."""
+        """The set of these elements, each component checked as a :class:`neutroset.core.Triplet` checks it.
+
+        A component that is not a real number raises its :class:`UsageError`; one
+        outside [0, 1], which no set holds, names its element.
+        """
         from neutroset.transforms import LabeledSet, _check_shape  # here: loading and validating skip it
 
         family, rows = self.family, self.components
         if family.arity == 2 and family.kind is not FamilyKind.IFS:
             raise UsageError(f"{family.describe()} elements are pairs; only IFS pairs widen into a set")
         if not self.checked or family.kind.row.extended:  # loads range-checked no other rows to [0, 1]
-            k = _first_out_of_range(rows, 1)
-            if k < len(rows):
-                _check_shape(self.universe, rows)  # the shape first, so that the failing row has a name
-                try:
-                    for v in rows[k]:
-                        as_component(v)
-                except ComponentRangeError as exc:
-                    raise DocumentError(f"element {self.universe[k]!r} cannot form a set: {exc}") from None
+            _check_shape(self.universe, rows)  # the shape first, so that a failing row has a name
+            _check_components(self.universe, rows)
         if family.arity == 2:  # an IFS pair is the sum-1 triplet embed_into_ns widens it to
             rows = _widened(rows)
         return LabeledSet._of_ranged(self.universe, tuple(map(tuple, rows)), family, False)
@@ -133,6 +130,16 @@ def loads(text: str, validate_elements: bool = True) -> ElementSetDocument:
     return doc
 
 
+def _check_components(universe: tuple, rows) -> None:
+    """Check every component by the rule of :class:`neutroset.core.Triplet`; one outside [0, 1] names its element."""
+    for name, row in zip(universe, rows):
+        try:
+            for v in row:
+                _check_unit_range(_check_real(v))
+        except ComponentRangeError as exc:
+            raise DocumentError(f"element {name!r} cannot form a set: {exc}") from None
+
+
 def _first_out_of_range(rows, limit) -> int:
     """The index of the first row with a component outside [0, ``limit``] (NaN among them), or ``len(rows)``."""
     for k, row in enumerate(rows):
@@ -150,33 +157,32 @@ def _element_report(name: str, components, family: FamilySpec, tol: float = ABS_
         raise DocumentError(f"element {name!r} invalid: {exc}") from None
 
 
-def load(path: str | Path, validate_elements: bool = True) -> ElementSetDocument:
-    return loads(Path(path).read_text(encoding="utf-8"), validate_elements)
-
-
 def dumps(doc: ElementSetDocument) -> str:
     """Serialize back to JSON, preserving component values at full precision.
 
-    The text is what ``json.dumps(payload, indent=2)`` writes. That encoder
-    runs in pure Python once it indents, so ``dumps`` writes the rows itself:
-    one %-template for the whole element block, applied once to every name
-    and value. A document that template cannot hold (a name that is not
-    text, names given twice or not one per row, rows of mixed lengths, NaN or
-    an infinity, which json spells its own way) goes through ``json.dumps``.
+    A document of a shape :func:`loads` refuses raises :class:`DocumentError`:
+    a name that is not text, an empty universe, a name given twice, a name
+    count other than the row count, or a row whose length is not the
+    family's arity. The text is what ``json.dumps(payload, indent=2)``
+    writes. That encoder runs in pure Python once it indents, so ``dumps``
+    writes the rows itself: one %-template for the whole element block,
+    applied once to every name and value. Only a document holding NaN or an
+    infinity, which json spells its own way, goes through ``json.dumps``.
     """
     family = {
         "kind": doc.family.kind.value,
         **({"exponent": doc.family.exponent} if doc.family.exponent is not None else {}),
     }
     head = {"format_version": FORMAT_VERSION, "family": family}
-    universe, rows = doc.universe, doc.components
-    arities = set(map(len, rows))
-    if (len(arities) == 1 and len(universe) == len(rows) and all(map(isinstance, universe, repeat(str)))
-            and len(set(universe)) == len(universe)):
-        values = list(map(float, chain.from_iterable(rows)))
-        # a non-finite sum means NaN or an infinity somewhere
-        if math.isfinite(sum(values)):
-            return _layout(head, list(map(encode_basestring_ascii, universe)), values, arities.pop())
+    universe, rows, arity = doc.universe, doc.components, doc.family.arity
+    if not (universe and all(map(isinstance, universe, repeat(str))) and len(set(universe)) == len(universe)
+            and len(rows) == len(universe) and set(map(len, rows)) == {arity}):
+        raise DocumentError(f"cannot write: a document needs distinct text names, at least one, "
+                            f"each with one row of {arity} components")
+    values = list(map(float, chain.from_iterable(rows)))
+    # a non-finite sum means NaN or an infinity somewhere
+    if math.isfinite(sum(values)):
+        return _layout(head, list(map(encode_basestring_ascii, universe)), values, arity)
     elements = {name: [float(v) for v in row] for name, row in zip(universe, rows)}
     return json.dumps({**head, "universe": list(universe), "elements": elements}, indent=2) + "\n"
 
@@ -188,7 +194,7 @@ def _layout(head: dict, names: list, values: list, arity: int) -> str:
     cells[::step] = names
     for k in range(arity):
         cells[k + 1 :: step] = values[k::arity]
-    row = "\n    %s: [" + ",".join(["\n      %r"] * arity) + ("\n    ]" if arity else "]")
+    row = "\n    %s: [" + ",".join(["\n      %r"] * arity) + "\n    ]"
     return "".join([
         json.dumps(head, indent=2)[:-2],  # without its closing "\n}"
         ',\n  "universe": [\n    ', ",\n    ".join(names),

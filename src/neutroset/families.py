@@ -16,7 +16,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from neutroset.core import (
@@ -520,6 +520,10 @@ def estimate_family_volume(family: FamilySpec, samples: int, seed: int) -> Volum
     Uses a counter-based generator so the estimate is a pure function of
     (seed, samples), independent of block partitioning.
     """
+    for name, n in (("samples", samples), ("seed", seed)):
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise UsageError(f"{name} must be an integer, got {n!r}")
+    samples, seed = int(samples), int(seed)  # a numpy integer becomes an int: Philox.advance refuses one
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     if seed < 0:

@@ -74,12 +74,6 @@ class NormPair:
     tnorm: TNorm = TNorm.MIN
     tconorm: TConorm = TConorm.MAX
 
-    def meet(self, a: Real, b: Real) -> Real:
-        return _MEET[self.tnorm](a, b)
-
-    def join(self, a: Real, b: Real) -> Real:
-        return _JOIN[self.tconorm](a, b)
-
 
 class SystemKind(Enum):
     IFS = "IFS"

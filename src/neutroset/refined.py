@@ -166,19 +166,24 @@ def refine(
 ) -> RefinedComponents:
     """Split each component of ``t`` across subcomponents by the given weights.
 
-    Each slot's weights must be nonnegative and sum to 1 (equal split by
-    default). Splitting is done in exact rational arithmetic so
-    :func:`coarsen` recovers the original triplet bit-for-bit.
+    Each slot's weights must be nonnegative finite real numbers that sum to
+    1 (equal split by default). Splitting is done in exact rational
+    arithmetic so :func:`coarsen` recovers the original triplet bit-for-bit.
     """
-    p, r, s = arities
+    try:
+        p, r, s = arities
+    except (TypeError, ValueError):
+        raise UsageError(f"arities must be three counts (p, r, s), got {arities!r}") from None
     if p < 1 or r < 0 or s < 0:
         raise UsageError(f"arities must be (p >= 1, r >= 0, s >= 0), got {arities}")
     scalars = t.scalars()
     if weights is None:
         weights = tuple(tuple(Fraction(1, n) for _ in range(n)) if n else () for n in arities)
+    elif len(weights) != 3:
+        raise UsageError(f"expected three weight groups, one per slot, got {len(weights)}")
     groups = []
     for n, value, ws in zip(arities, scalars, weights):
-        ws = tuple(Fraction(w) for w in ws)
+        ws = tuple(map(_weight, ws))
         if len(ws) != n:
             raise UsageError(f"expected {n} weights, got {len(ws)}")
         if any(w < 0 for w in ws):
@@ -193,6 +198,16 @@ def refine(
         exact = Fraction(value)
         groups.append(tuple(w * exact for w in ws))
     return RefinedComponents(t=groups[0], i=groups[1], f=groups[2])
+
+
+def _weight(w) -> Fraction:
+    """A weight as an exact Fraction; one that is not a finite real number (a bool or a string) is refused."""
+    if not _is_real(w):
+        raise UsageError(f"weights must be real numbers, got {type(w).__name__}")
+    try:
+        return Fraction(w)
+    except (ValueError, OverflowError):  # NaN, the infinities
+        raise UsageError(f"weights must be finite, got {w!r}") from None
 
 
 def coarsen(c: RefinedComponents) -> Triplet:

@@ -198,20 +198,20 @@ class ParadoxReport:
     normalized_is_paradox: bool
 
 
-def _is_paradox_triplet(t: Triplet, tol: float) -> bool:
-    return all(abs(sup_of(c) - 1) <= tol and abs(inf_of(c) - 1) <= tol for c in t.components())
+def _is_paradox_triplet(t: Triplet) -> bool:
+    return all(abs(sup_of(c) - 1) <= ABS_TOL and abs(inf_of(c) - 1) <= ABS_TOL for c in t.components())
 
 
-def paradox_check(t: Triplet, tol: float = ABS_TOL) -> ParadoxReport:
+def paradox_check(t: Triplet) -> ParadoxReport:
     """Report whether ``t`` is the all-ones triplet and what normalization does to it.
 
     The all-ones triplet is representable with independent components
     (sum bound 3) but not with a sum-1 or sum <= 1 budget; normalizing it
     yields equal thirds, which no longer assert full truth or falsehood.
     """
-    is_pdx = _is_paradox_triplet(t, tol)
-    ns_ok = validate(t, FamilySpec(FamilyKind.NS), tol).valid
-    iifs_ok = validate(t, FamilySpec(FamilyKind.IIFS), tol).valid
+    is_pdx = _is_paradox_triplet(t)
+    ns_ok = validate(t, FamilySpec(FamilyKind.NS)).valid
+    iifs_ok = validate(t, FamilySpec(FamilyKind.IIFS)).valid
     single = LabeledSet(("p",), (t,), FamilySpec(FamilyKind.NS))
     try:
         normalized = normalize_elementwise(single).triplets[0]
@@ -222,7 +222,7 @@ def paradox_check(t: Triplet, tol: float = ABS_TOL) -> ParadoxReport:
         ns_valid=ns_ok,
         iifs_valid=iifs_ok,
         normalized=normalized,
-        normalized_is_paradox=normalized is not None and _is_paradox_triplet(normalized, tol),
+        normalized_is_paradox=normalized is not None and _is_paradox_triplet(normalized),
     )
 
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from test_cli_contract import ODD_COMPONENTS, OUT_OF_RANGE
 
 import neutroset
 from neutroset import cli, documents
-from neutroset.core import Triplet, UsageError
+from neutroset.core import ComponentRangeError, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
 from neutroset.operators import Op, OperatorSystem, SystemKind, setwise
@@ -60,7 +61,7 @@ class TestDocuments:
         )
         path = tmp_path / "doc.json"
         path.write_text(documents.dumps(doc), encoding="utf-8")
-        again = documents.load(path)
+        again = documents.loads(path.read_text(encoding="utf-8"))
         assert again.components[0] == tuple(values)
         assert again == doc
 
@@ -150,15 +151,33 @@ class TestDumps:
             (FamilySpec(FamilyKind.QROFS, 3), ("a", "b"), ((1, 0), (Fraction(1, 3), 0.5))),
             (FamilySpec(FamilyKind.NHSNS, 2.5), ("a",), ((1.2, 0.0, 1e-300),)),
             (FamilySpec(FamilyKind.NS), ("a", "b"), ((float("nan"), 0, 0), (0, float("inf"), 1))),
-            (FamilySpec(FamilyKind.NS), ("a", "a", "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
-            (FamilySpec(FamilyKind.NS), (1, "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
-            (FamilySpec(FamilyKind.NS), ("a", "b"), ((), (0.4,))),
-            (FamilySpec(FamilyKind.NS), (), ()),
         ],
     )
     def test_same_bytes_as_json(self, family, universe, components):
         doc = documents.ElementSetDocument(family, universe, components)
         assert documents.dumps(doc) == json_layout(doc)
+
+    @pytest.mark.parametrize(
+        "universe,components",
+        [
+            (("a", "b", "a"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9))),
+            (("a", "a", "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+            (("a", "b"), ((0.1, 0.2, 0.3),)),
+            (("a",), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+            ((1, "b"), ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+            ((None,), ((0.1, 0.2, 0.3),)),
+            ((), ()),
+            (("a", "b"), ((), (0.4,))),
+            (("a", "b"), ((0.1, 0.2, 0.3), (0.4, 0.5))),
+            (("a",), ((0.1, 0.2),)),
+        ],
+        ids=["name-given-twice", "name-twice-one-row-short", "two-names-one-row", "one-name-two-rows",
+             "int-name", "none-name", "empty-universe", "mixed-row-lengths", "one-row-short", "pair-row-in-ns"],
+    )
+    def test_refuses_a_shape_loads_refuses(self, universe, components):
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), universe, components)
+        with pytest.raises(documents.DocumentError, match=r"^cannot write: a document needs distinct text names"):
+            documents.dumps(doc)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -176,11 +195,39 @@ class TestDumps:
         doc = documents.loads(json.dumps(A_N_DOC))
         assert documents.dumps(documents.from_labeled_set(doc.to_labeled_set())) == json_layout(doc)
 
-    def test_same_bytes_as_json_for_a_name_given_twice(self):
-        """json keeps one entry per name, its last row at its first place; a name per row is not enough."""
-        rows = ((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.7, 0.8, 0.9))
-        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("a", "b", "a"), rows)
-        assert documents.dumps(doc) == json_layout(doc)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([FamilySpec(FamilyKind.NS), FamilySpec(FamilyKind.IFS), FamilySpec(FamilyKind.NHSFS, 1.5)]),
+        st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True),
+        st.sampled_from([None, None, None, "name-twice", "int-name", "no-names", "row-count", "row-length"]),
+        st.data(),
+    )
+    def test_every_written_document_reads_back(self, family, universe, defect, data):
+        """``dumps`` refuses a document exactly when its shape is one ``loads`` refuses, and writes what ``loads`` reads.
+
+        The document read back has the same names, and each component as its float.
+        """
+        rows = data.draw(st.lists(st.tuples(*[dump_values] * family.arity), min_size=len(universe),
+                                  max_size=len(universe)))
+        k = data.draw(st.integers(0, len(universe) - 1))
+        if defect == "name-twice":
+            universe, rows = [*universe, universe[k]], [*rows, rows[k]]
+        elif defect == "int-name":
+            universe[k] = k
+        elif defect == "no-names":
+            universe, rows = [], []
+        elif defect == "row-count":
+            rows = rows[1:] if data.draw(st.booleans()) else [*rows, rows[k]]
+        elif defect == "row-length":
+            rows[k] = rows[k][1:] if data.draw(st.booleans()) else (*rows[k], 0.5)
+        doc = documents.ElementSetDocument(family, tuple(universe), tuple(rows))
+        if defect:
+            with pytest.raises(documents.DocumentError, match=r"^cannot write: "):
+                documents.dumps(doc)
+            return
+        back = documents.loads(documents.dumps(doc), validate_elements=False)
+        assert (back.family, back.universe) == (family, doc.universe)
+        assert [list(map(repr, row)) for row in back.components] == [[repr(float(v)) for v in row] for row in rows]
 
     @pytest.mark.parametrize("kind, arity", [("NS", 3), ("IFS", 2)])
     def test_same_bytes_as_json_for_a_result_of_3000_elements(self, kind, arity):
@@ -315,14 +362,14 @@ class TestCliOp:
         out = tmp_path / "c_n.json"
         code = cli.main(["op", "--op", "and", str(a), str(b), "--system", "NS", "--out", str(out)])
         assert code == 0
-        doc = documents.load(out)
+        doc = documents.loads(out.read_text(encoding="utf-8"))
         assert doc.components == ((0.2, 0.3, 0.5), (0.6, 0.2, 0.6))
 
     def test_union_document(self, doc_paths, tmp_path):
         a, b = doc_paths
         out = tmp_path / "d_n.json"
         assert cli.main(["op", "--op", "or", str(a), str(b), "--out", str(out)]) == 0
-        assert documents.load(out).components == ((0.8, 0.1, 0.3), (0.9, 0.2, 0.1))
+        assert documents.loads(out.read_text(encoding="utf-8")).components == ((0.8, 0.1, 0.3), (0.9, 0.2, 0.1))
 
     def test_unary_not(self, doc_paths, capsys):
         a, _ = doc_paths
@@ -389,7 +436,7 @@ class TestCliTransform:
         a, _ = doc_paths
         out = tmp_path / "a_iifs.json"
         assert cli.main(["transform", str(a), "--method", "sup", "--out", str(out)]) == 0
-        doc = documents.load(out)
+        doc = documents.loads(out.read_text(encoding="utf-8"))
         assert doc.family.kind is FamilyKind.IIFS
         assert doc.components[0] == pytest.approx((0.8 / 1.8, 0.3 / 1.8, 0.5 / 1.8))
 
@@ -397,7 +444,7 @@ class TestCliTransform:
         a, _ = doc_paths
         out = tmp_path / "a_ifs.json"
         assert cli.main(["transform", str(a), "--method", "normalize", "--out", str(out)]) == 0
-        doc = documents.load(out)
+        doc = documents.loads(out.read_text(encoding="utf-8"))
         assert doc.family.kind is FamilyKind.IFS
         # pairs on disk; the derived middle component returns on load
         assert doc.components[0] == pytest.approx((0.5, 0.3125))
@@ -593,6 +640,14 @@ class TestCliRefinedAndDecide:
         assert payload["partition"] == [0.3, 0.2, 0.5]
 
 
+#: Components a code-built document may hold: those the CLI contract tries, and Fractions in and out of [0, 1].
+set_components = st.one_of(
+    st.sampled_from(ODD_COMPONENTS + OUT_OF_RANGE),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.floats(0, 1),
+)
+
+
 class TestExactTypes:
     def test_ifs_document_widens_like_embed_into_ns(self):
         ifs = FamilySpec(FamilyKind.IFS)
@@ -622,7 +677,7 @@ class TestExactTypes:
             raise AssertionError("a row was read")
 
         # the family is refused before any row is read, checked or widened
-        monkeypatch.setattr(documents, "_first_out_of_range", read)
+        monkeypatch.setattr(documents, "_check_components", read)
         monkeypatch.setattr(documents, "_widened", read)
         described = doc.family.describe()
         with pytest.raises(UsageError, match=rf"^{re.escape(described)} elements are pairs; only IFS pairs widen"):
@@ -666,6 +721,28 @@ class TestExactTypes:
         doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("a",), ((0.1, 0.2, 0.3), late_row))
         with pytest.raises(UsageError, match=r"^1 element names but 2 triplets$"):
             doc.to_labeled_set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[set_components] * 3))
+    @example((True, 0, 0))
+    @example(("a", 0, 0))
+    @example((None, 0, 0))
+    def test_a_document_row_meets_the_rule_of_triplet(self, row):
+        """A code-built NS document forms the set its Triplets form, and fails where they fail."""
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("x",), (row,))
+        try:
+            want = LabeledSet.from_mapping({"x": row}, FamilySpec(FamilyKind.NS))
+        except ComponentRangeError as exc:
+            with pytest.raises(documents.DocumentError) as caught:
+                doc.to_labeled_set()
+            assert str(caught.value) == f"element 'x' cannot form a set: {exc}"
+        except UsageError as exc:
+            with pytest.raises(UsageError) as caught:
+                doc.to_labeled_set()
+            assert str(caught.value) == str(exc)
+        else:
+            got = doc.to_labeled_set()
+            assert got == want and [(type(v), repr(v)) for v in got.rows[0]] == [(type(v), repr(v)) for v in row]
 
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(

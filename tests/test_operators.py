@@ -467,33 +467,38 @@ class TestDegenerateIntervals:
         assert negate(boxed_a, NS) == negate(plain_a, NS)
 
 
+def meet_and_join(norms: NormPair):
+    """The two-argument t-norm and t-conorm an operator system resolves ``norms`` to."""
+    return operators._MEET[norms.tnorm], operators._JOIN[norms.tconorm]
+
+
 class TestNormAxioms:
     @given(units)
     def test_boundary_identities(self, a):
-        for norms in (NormPair(), PRODUCT_NORMS):
-            assert norms.meet(a, 1.0) == pytest.approx(a, abs=1e-12)
-            assert norms.meet(a, 0.0) == 0.0
-            assert norms.join(a, 0.0) == pytest.approx(a, abs=1e-12)
-            assert norms.join(a, 1.0) == pytest.approx(1.0, abs=1e-12)
+        for meet, join in map(meet_and_join, (NormPair(), PRODUCT_NORMS)):
+            assert meet(a, 1.0) == pytest.approx(a, abs=1e-12)
+            assert meet(a, 0.0) == 0.0
+            assert join(a, 0.0) == pytest.approx(a, abs=1e-12)
+            assert join(a, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     @given(units, units)
     def test_commutative(self, a, b):
-        for norms in (NormPair(), PRODUCT_NORMS):
-            assert norms.meet(a, b) == norms.meet(b, a)
-            assert norms.join(a, b) == norms.join(b, a)
+        for meet, join in map(meet_and_join, (NormPair(), PRODUCT_NORMS)):
+            assert meet(a, b) == meet(b, a)
+            assert join(a, b) == join(b, a)
 
     @given(unit_fractions, unit_fractions, unit_fractions)
     def test_associative_exact(self, a, b, c):
-        for norms in (NormPair(), PRODUCT_NORMS):
-            assert norms.meet(norms.meet(a, b), c) == norms.meet(a, norms.meet(b, c))
-            assert norms.join(norms.join(a, b), c) == norms.join(a, norms.join(b, c))
+        for meet, join in map(meet_and_join, (NormPair(), PRODUCT_NORMS)):
+            assert meet(meet(a, b), c) == meet(a, meet(b, c))
+            assert join(join(a, b), c) == join(a, join(b, c))
 
     @given(units, units, units)
     def test_monotone(self, a, b, c):
         lo, hi = sorted((b, c))
-        for norms in (NormPair(), PRODUCT_NORMS):
-            assert norms.meet(a, lo) <= norms.meet(a, hi) + 1e-15
-            assert norms.join(a, lo) <= norms.join(a, hi) + 1e-15
+        for meet, join in map(meet_and_join, (NormPair(), PRODUCT_NORMS)):
+            assert meet(a, lo) <= meet(a, hi) + 1e-15
+            assert join(a, lo) <= join(a, hi) + 1e-15
 
 
 class TestNormPairsThatDoNotClose:
@@ -523,8 +528,8 @@ tie_prone = st.one_of(units, st.sampled_from([0, 1, -0.0, 0.0]), unit_fractions)
 class TestNormsAreTheBuiltins:
     @given(tie_prone, tie_prone)
     def test_min_max_pair_returns_what_min_and_max_return(self, a, b):
-        norms = NormPair()
-        for got, want in ((norms.meet(a, b), min(a, b)), (norms.join(a, b), max(a, b))):
+        meet, join = meet_and_join(NormPair())
+        for got, want in ((meet(a, b), min(a, b)), (join(a, b), max(a, b))):
             assert (type(got), repr(got)) == (type(want), repr(want))
 
 
@@ -691,14 +696,19 @@ class TestOneRangePassPerDocument:
     ])
     @pytest.mark.parametrize("validate_elements", [True, False])
     def test_documents(self, monkeypatch, family, elements, set_passes, validate_elements):
-        passes = []
+        passes = []  # the upper limit of each range pass: that of loads, and [0, 1] for the set
 
         def counted(rows, limit):
             passes.append(limit)
             return first_out_of_range(rows, limit)
 
-        first_out_of_range = documents._first_out_of_range
+        def counted_set_pass(universe, rows):
+            passes.append(1)
+            check_components(universe, rows)
+
+        first_out_of_range, check_components = documents._first_out_of_range, documents._check_components
         monkeypatch.setattr(documents, "_first_out_of_range", counted)
+        monkeypatch.setattr(documents, "_check_components", counted_set_pass)
         text = json.dumps({"format_version": 1, "family": family, "universe": list(elements), "elements": elements})
         doc = documents.loads(text, validate_elements)
         assert len(passes) == validate_elements

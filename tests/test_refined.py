@@ -317,6 +317,29 @@ class TestRefineCoarsen:
             call()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "arities, weights, message",
+        [
+            ((2, 1, 1), (("1", 0), (1,), (1,)), "weights must be real numbers, got str"),
+            ((2, 1, 1), (("1/1", 0), (1,), (1,)), "weights must be real numbers, got str"),
+            ((2, 1, 1), ((True, False), (1,), (1,)), "weights must be real numbers, got bool"),
+            ((2, 1, 1), ((1, None), (1,), (1,)), "weights must be real numbers, got NoneType"),
+            ((2, 1, 1), ((math.nan, 1), (1,), (1,)), "weights must be finite, got nan"),
+            ((2, 1, 1), ((math.inf, 0), (1,), (1,)), "weights must be finite, got inf"),
+            ((2, 1, 1), ((0.5, 0.5), (1,)), "expected three weight groups, one per slot, got 2"),
+            ((2, 1, 1), ((0.5, 0.5), (1,), (1,), (1,)), "expected three weight groups, one per slot, got 4"),
+            ((2, 1), None, "arities must be three counts (p, r, s), got (2, 1)"),
+            ((2, 1, 1, 1), None, "arities must be three counts (p, r, s), got (2, 1, 1, 1)"),
+            (3, None, "arities must be three counts (p, r, s), got 3"),
+        ],
+        ids=["string-weight", "fraction-string-weight", "bool-weights", "none-weight", "nan-weight", "inf-weight",
+             "two-groups", "four-groups", "two-arities", "four-arities", "int-arities"],
+    )
+    def test_refine_refuses_what_it_cannot_split_by(self, arities, weights, message):
+        with pytest.raises(UsageError) as info:
+            refine(Triplet(0.6, 0.2, 0.4), arities, weights)
+        assert str(info.value) == message
+
     def test_empty_slot_requires_zero_component(self):
         refine(Triplet(0.5, 0.0, 0.2), (2, 0, 1))
         with pytest.raises(UsageError):

@@ -125,6 +125,19 @@ class TestEstimates:
         with pytest.raises(UsageError, match="seed"):
             estimate_family_volume(SFS, 1000, seed=-1)
 
+    @pytest.mark.parametrize("samples, seed, name", [
+        (1.5, 1, "samples"), (1000.0, 1, "samples"), (True, 1, "samples"), ("1000", 1, "samples"),
+        (np.float64(1000), 1, "samples"), (1000, 1.5, "seed"), (1000, True, "seed"), (1000, None, "seed"),
+    ])
+    def test_sample_count_and_seed_are_integers(self, samples, seed, name):
+        with pytest.raises(UsageError, match=rf"^{name} must be an integer, got "):
+            estimate_family_volume(SFS, samples, seed)
+
+    def test_numpy_integers_count_as_their_ints(self):
+        est = estimate_family_volume(SFS, np.int64(70_000), np.uint32(7))
+        assert est == estimate_family_volume(SFS, 70_000, 7)
+        assert (type(est.samples), type(est.seed)) == (int, int)
+
 
 class TestKernelBackends:
     def _block(self, n=100_000, k=3, seed=123):
