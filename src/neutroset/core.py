@@ -255,15 +255,6 @@ class Pair:
     def components(self) -> tuple:
         return (self.t, self.f)
 
-    @classmethod
-    def from_triplet(cls, triplet: Triplet) -> "Pair":
-        """Down-convert a triplet summing to 1 within ``ABS_TOL``, dropping its derivable middle component."""
-        s = triplet.component_sum()
-        if not sums_to_one(s):
-            raise UsageError(f"triplet components sum to {s}, not 1; cannot drop the middle component")
-        t, _, f = triplet.scalars()
-        return cls(t, f)
-
 
 def _sum_bound(n: int, d: Real) -> Real:
     """The most that ``n`` components whose degree of dependence is ``d`` may sum to: ``n - (n - 1) * d``.

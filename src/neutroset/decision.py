@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 from neutroset.core import DegenerateInputError, UnitValue, UsageError, _is_real, sums_to_one
@@ -71,12 +71,14 @@ class PartitionN:
 
 
 def _check_finite(what: str, values: Sequence[Real]) -> None:
-    """Reject NaN, infinities and numbers too large for a float: no threshold orders them and no total sums them."""
+    """Reject what is not a real number, NaN, infinities and numbers too large for a float: no threshold orders them and no total sums them."""
     for v in values:
         if isinstance(v, float):
             if not math.isfinite(v):
                 raise UsageError(f"{what} must be finite, got {v!r}")
-        elif _is_real(v):
+        elif not _is_real(v):
+            raise UsageError(f"{what} must be real numbers, got {type(v).__name__}")
+        else:
             try:
                 float(v)
             except OverflowError:  # an int or a Fraction past the largest float
@@ -114,11 +116,11 @@ def three_ways(scores: Sequence[Real], alpha: Real, beta: Real) -> tuple[tuple[V
     Returns the labels and the induced fractions, which always sum to one
     since every element receives exactly one label.
     """
+    _check_finite("thresholds", (alpha, beta))
     if not alpha > beta:
         raise UsageError(f"thresholds must satisfy alpha > beta, got alpha={alpha!r}, beta={beta!r}")
     if not scores:
         raise UsageError("scores are empty")
-    _check_finite("thresholds", (alpha, beta))
     _check_finite("scores", scores)
     labels = []
     for s in scores:
@@ -169,17 +171,19 @@ def n_ways(
     lowest scores for rejection, the highest for acceptance.
     """
     p, r, s = arities
+    if any(isinstance(n, bool) or not isinstance(n, Integral) for n in arities):
+        raise UsageError(f"arities must be integers, got {arities}")
     if min(p, r, s) < 1 or p + r + s < 4:
         raise UsageError(f"arities must each be >= 1 and total >= 4, got {arities}")
     n_bands = p + r + s
     cuts = list(cut_points)
     if len(cuts) != n_bands - 1:
         raise UsageError(f"{n_bands} bands need {n_bands - 1} cut points, got {len(cuts)}")
+    _check_finite("cut points", cuts)
     if any(not a < b for a, b in zip(cuts, cuts[1:])):
         raise UsageError(f"cut points must be strictly ascending, got {cuts}")
     if not scores:
         raise UsageError("scores are empty")
-    _check_finite("cut points", cuts)
     _check_finite("scores", scores)
 
     bands: list[BandLabel] = []
@@ -229,6 +233,7 @@ class OffsetBounds:
     over: Real = 1
 
     def __post_init__(self):
+        _check_finite("bounds", (self.under, self.over))
         if not (self.under <= 0 <= 1 <= self.over):
             raise UsageError(f"bounds must satisfy under <= 0 <= 1 <= over, got ({self.under!r}, {self.over!r})")
 

@@ -5,7 +5,7 @@ Numbers of the form a + bI form a commutative ring under
     (a + bI) + (c + dI) = (a + c) + (b + d)I
     (a + bI) * (c + dI) = ac + (ad + bc + bd)I
 
-which lifts entrywise and row-by-column to matrices. Refined numbers carry
+whose product lifts row-by-column to matrices. Refined numbers carry
 several sub-indeterminacy coefficients but only add and scale: products of
 distinct sub-indeterminacies are left undefined. Adjacency matrices over
 the alphabet {0, 1, -1, I} model graphs and cognitive maps with unknown
@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Sequence
 
-from neutroset.core import Triplet, UndefinedOperationError, UsageError, _is_real
+from neutroset.core import UndefinedOperationError, UsageError, _is_real
 
 
 def _check_coeff(x) -> Real:
@@ -171,19 +170,6 @@ class NeutroMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]))
 
-    @classmethod
-    def identity(cls, n: int) -> "NeutroMatrix":
-        one, zero = NeutrosophicNumber(1), NeutrosophicNumber(0)
-        return cls(tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n)))
-
-
-def nm_add(m: NeutroMatrix, n: NeutroMatrix) -> NeutroMatrix:
-    if m.shape != n.shape:
-        raise UsageError(f"shape mismatch: {m.shape} vs {n.shape}")
-    return NeutroMatrix(
-        tuple(tuple(nn_add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(m.rows, n.rows))
-    )
-
 
 def nm_mul(m: NeutroMatrix, n: NeutroMatrix) -> NeutroMatrix:
     rows_m, cols_m = m.shape
@@ -250,10 +236,6 @@ class NeutroAdjacency:
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "NeutroAdjacency":
-        return cls(NeutroMatrix(tuple(tuple(row) for row in rows)))
 
 
 def parse_adjacency(text: str) -> NeutroAdjacency:
@@ -330,21 +312,3 @@ def adjacency_validate(adj: NeutroAdjacency, kind: AdjacencyKind) -> AdjacencyRe
         symmetric=symmetric,
         violations=tuple(violations),
     )
-
-
-def path_influence(edges: Sequence[Triplet]) -> Triplet:
-    """Compose edge influences along a path: the running AND of the edge triplets.
-
-    In a graph whose edges carry (t, i, f) influence values, the influence
-    of a path is the conjunction of its edges under the triplet-aggregation
-    system where indeterminacy joins.
-    """
-    from neutroset.operators import OperatorSystem, SystemKind, conjunct
-
-    if not edges:
-        raise UsageError("a path needs at least one edge")
-    sys = OperatorSystem(SystemKind.NS)
-    acc = edges[0]
-    for edge in edges[1:]:
-        acc = conjunct(acc, edge, sys)
-    return acc

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 import neutroset.families as families
@@ -174,6 +174,8 @@ def refine(
         p, r, s = arities
     except (TypeError, ValueError):
         raise UsageError(f"arities must be three counts (p, r, s), got {arities!r}") from None
+    if any(isinstance(n, bool) or not isinstance(n, Integral) for n in arities):
+        raise UsageError(f"arities must be three counts (p, r, s), got {arities!r}")
     if p < 1 or r < 0 or s < 0:
         raise UsageError(f"arities must be (p >= 1, r >= 0, s >= 0), got {arities}")
     scalars = t.scalars()

@@ -23,6 +23,7 @@ from neutroset.core import (
     Triplet,
     UnitValue,
     UsageError,
+    _is_real,
     inf_of,
     leftover,
     scalar_of,
@@ -239,6 +240,8 @@ class DivergenceReport:
 
 def divergence_report(path_a: LabeledSet, path_b: LabeledSet, tol: float = ABS_TOL) -> DivergenceReport:
     """Compare two sets elementwise; verdict fires when any component differs beyond ``tol``."""
+    if not _is_real(tol):
+        raise UsageError(f"tol must be a real number, got {type(tol).__name__}")
     _require_same_universe(path_a, path_b)
     pairs = zip(path_a._sup_rows(), path_b._sup_rows())
     deltas = [tuple(float(x) - float(y) for x, y in zip(ra, rb)) for ra, rb in pairs]

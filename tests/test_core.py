@@ -163,10 +163,10 @@ class TestTriplet:
 
 
 class TestPair:
-    def test_from_triplet_requires_sum_one(self):
-        assert Pair.from_triplet(Triplet(0.3, 0.6, 0.1)) == Pair(0.3, 0.1)
-        with pytest.raises(UsageError):
-            Pair.from_triplet(Triplet(0.3, 0.3, 0.1))
+    def test_a_sum_1_triplet_drops_its_middle(self):
+        r = Triplet(0.3, 0.6, 0.1)
+        assert sums_to_one(r.component_sum()) and Pair(r.t, r.f) == Pair(0.3, 0.1)
+        assert not sums_to_one(Triplet(0.3, 0.3, 0.1).component_sum())
 
 
 class TestSumsToOne:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neutroset.core import DegenerateInputError, Pair, Triplet, UsageError
+from neutroset.core import DegenerateInputError, Triplet, UsageError
 from neutroset.decision import (
     DependenceMode,
     OffsetBounds,
@@ -18,6 +18,8 @@ from neutroset.decision import (
     three_ways,
     validate_offset,
 )
+from neutroset.families import FamilyKind, FamilySpec, _first_outside
+from neutroset.transforms import LabeledSet, divergence_report
 
 scores_strategy = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=30
@@ -92,15 +94,14 @@ class TestPartition3Modes:
         (0.4999999995, 0.0, 0.5),
         (0.3, 0.3, 0.3),
     ])
-    def test_sum_to_one_reads_as_in_pair_from_triplet(self, fractions):
-        def accepts(build) -> bool:
-            try:
-                build(*fractions)
-            except UsageError:
-                return False
-            return True
-
-        assert accepts(Partition3) == accepts(lambda *v: Pair.from_triplet(Triplet(*v)))
+    def test_sum_to_one_reads_as_the_ifs_stand_in_test(self, fractions):
+        try:
+            Partition3(*fractions)
+        except UsageError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (_first_outside([fractions], FamilySpec(FamilyKind.IFS)) == -1)
 
     def test_free_mode_allows_independent_fractions(self):
         part = Partition3(0.9, 0.8, 0.7, dependence=DependenceMode.FREE)
@@ -238,6 +239,7 @@ class TestOffsetDegrees:
 
 
 NAN, INF = float("nan"), float("inf")
+ONE_ELEMENT = LabeledSet(("x",), [Triplet(0.2, 0.3, 0.4)], FamilySpec(FamilyKind.NS))
 
 
 class TestNonFiniteInputs:
@@ -295,6 +297,32 @@ class TestNonFiniteInputs:
         with pytest.raises(UsageError) as info:
             call()
         assert str(info.value) == f"{what} must be finite, got a number too large for a float"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: three_ways([0.5], "a", 0.1), "thresholds must be real numbers, got str"),
+            (lambda: three_ways(["x"], 0.7, 0.1), "scores must be real numbers, got str"),
+            (lambda: three_ways([0.5], None, 0.1), "thresholds must be real numbers, got NoneType"),
+            (lambda: n_ways((0.6,), (0.25, "0.5", 0.75), (1, 1, 2)), "cut points must be real numbers, got str"),
+            (lambda: validate_offset((None, 0, 0)), "components must be real numbers, got NoneType"),
+            (lambda: validate_offset(("a", 0, 0)), "components must be real numbers, got str"),
+            (lambda: OffsetBounds("a", 1), "bounds must be real numbers, got str"),
+            (lambda: divergence_report(ONE_ELEMENT, ONE_ELEMENT, "x"), "tol must be a real number, got str"),
+        ],
+        ids=["three-ways-alpha", "three-ways-score", "three-ways-none-alpha", "n-ways-cut", "offset-none",
+             "offset-str", "offset-bounds", "divergence-tol"],
+    )
+    def test_a_value_that_is_not_a_real_number_is_rejected_by_name(self, call, message):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("arities", [(2.5, 1, 1), (True, 1, 2), ("a", "b", "c")])
+    def test_n_ways_arities_are_integers(self, arities):
+        with pytest.raises(UsageError) as info:
+            n_ways((0.6,), (0.25, 0.5, 0.75), arities)
+        assert str(info.value) == f"arities must be integers, got {arities}"
 
     def test_a_large_int_that_fits_a_float_is_accepted(self):
         assert offset_degree(10**300, 10**299) == 10.0

@@ -16,7 +16,7 @@ from test_cli_contract import ODD_COMPONENTS, OUT_OF_RANGE
 
 import neutroset
 from neutroset import cli, documents
-from neutroset.core import ComponentRangeError, Triplet, UsageError
+from neutroset.core import ComponentRangeError, IntervalValue, Triplet, UsageError
 from neutroset.families import FamilyKind, FamilySpec, embed_into_ns
 from neutroset.indeterminacy import AdjacencyKind
 from neutroset.operators import Op, OperatorSystem, SystemKind, setwise
@@ -468,6 +468,8 @@ SET_LAYER = Path(__file__).parent / "data" / "set_layer"
 def test_set_layer_output_is_pinned_byte_for_byte(capsys, monkeypatch):
     """``op`` for every system, norm pair and operator, and both transforms, on the checked-in documents.
 
+    A few JSON calls ride along: a ``--round`` transform, ``demo --list`` and a ``refined`` residual.
+
     ``calls.txt`` holds one argument line per call; ``output.txt`` is each
     line after ``$ neutroset`` and then what the call prints, as the CI step
     writes it through the installed entry point.
@@ -484,19 +486,20 @@ SET_ERRORS = Path(__file__).parent / "data" / "set_errors"
 
 
 def test_set_layer_errors_are_pinned_byte_for_byte(capsys, monkeypatch):
-    """``op`` and ``transform`` calls that fail, each with the error line and exit code it gives.
+    """``op`` and ``transform`` calls that fail, each with the error line and exit code it gives, and a failed ``matrix`` check.
 
     ``calls.txt`` holds one argument line per call; ``errors.txt`` is each
-    line after ``$ neutroset``, then what the call writes to stderr and
-    ``exit`` with its code. No failing call writes to stdout.
+    line after ``$ neutroset``, then what the call writes and ``exit`` with
+    its code. A usage or document error (exit 2) writes only to stderr, and
+    a failed check (exit 1) writes its report only to stdout.
     """
     monkeypatch.chdir(SET_ERRORS.parents[2])  # the calls name the documents from the root of the checkout
     transcript = []
     for line in (SET_ERRORS / "calls.txt").read_text(encoding="utf-8").splitlines():
         code = cli.main(line.split())
         out, err = capsys.readouterr()
-        assert out == "", line
-        transcript.append(f"$ neutroset {line}\n{err}exit {code}\n")
+        assert (out if code == 2 else err) == "", line
+        transcript.append(f"$ neutroset {line}\n{out}{err}exit {code}\n")
     assert "".join(transcript).encode() == (SET_ERRORS / "errors.txt").read_bytes()
 
 
@@ -743,6 +746,15 @@ class TestExactTypes:
         else:
             got = doc.to_labeled_set()
             assert got == want and [(type(v), repr(v)) for v in got.rows[0]] == [(type(v), repr(v)) for v in row]
+
+    def test_an_interval_component_is_refused_though_a_triplet_takes_it(self):
+        """A document holds numbers (``loads`` gives ints and floats), so a code-built one with an interval forms no set."""
+        row = (IntervalValue(0.1, 0.2), 0, 0)
+        Triplet(*row)
+        doc = documents.ElementSetDocument(FamilySpec(FamilyKind.NS), ("x",), (row,))
+        with pytest.raises(UsageError) as caught:
+            doc.to_labeled_set()
+        assert str(caught.value) == "expected a real number, got IntervalValue"
 
     def test_int_pair_widens_with_an_int_middle(self):
         doc = documents.loads(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from neutroset.core import Triplet, UndefinedOperationError, UsageError
+from neutroset.core import UndefinedOperationError, UsageError
 from neutroset.indeterminacy import (
     AdjacencyKind,
     I,
@@ -14,13 +14,11 @@ from neutroset.indeterminacy import (
     RefinedNeutrosophicNumber,
     adjacency_validate,
     emit_adjacency,
-    nm_add,
     nm_mul,
     nn_add,
     nn_mul,
     nn_pow,
     parse_adjacency,
-    path_influence,
     rnn_add,
     rnn_scale,
 )
@@ -182,7 +180,7 @@ class TestMatrices:
     )
 
     def test_identity_product(self):
-        ident = NeutroMatrix.identity(3)
+        ident = NeutroMatrix(tuple(tuple(NeutrosophicNumber(int(r == c)) for c in range(3)) for r in range(3)))
         assert nm_mul(self.SHOWCASE, ident) == self.SHOWCASE
         assert nm_mul(ident, self.SHOWCASE) == self.SHOWCASE
 
@@ -204,13 +202,7 @@ class TestMatrices:
                     acc = nn_add(acc, sympy_nn_product(m.rows[r][k], n.rows[k][c]))
                 assert got.rows[r][c] == acc
 
-    def test_entrywise_addition(self):
-        got = nm_add(self.SHOWCASE, self.SHOWCASE)
-        assert got.rows[0][1] == NeutrosophicNumber(4, 2)
-
     def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            nm_add(self.SHOWCASE, NeutroMatrix(((I,),)))
         with pytest.raises(UsageError):
             nm_mul(NeutroMatrix(((I, I),)), NeutroMatrix(((I, I),)))
 
@@ -276,9 +268,9 @@ class TestAdjacency:
 
     def test_alphabet_enforced_at_construction(self):
         with pytest.raises(UsageError):
-            NeutroAdjacency.from_rows(((NeutrosophicNumber(0.5), I), (I, I)))
+            NeutroAdjacency(NeutroMatrix(((NeutrosophicNumber(0.5), I), (I, I))))
         with pytest.raises(UsageError) as info:
-            NeutroAdjacency.from_rows(((NeutrosophicNumber(1, 2),),))
+            NeutroAdjacency(NeutroMatrix(((NeutrosophicNumber(1, 2),),)))
         assert str(info.value) == "entry (0, 0) = 1+2I is outside the alphabet {0, 1, -1, I}"
 
     def test_round_trip_is_bit_exact(self):
@@ -298,42 +290,3 @@ class TestAdjacency:
         with pytest.raises(UsageError):
             parse_adjacency("0 1 0\n1 0 1\n")
 
-
-class TestPathInfluence:
-    def test_two_edge_composition(self):
-        got = path_influence([Triplet(0.3, 0.6, 0.1), Triplet(0.4, 0.1, 0.5)])
-        assert tuple(float(v) for v in got.scalars()) == pytest.approx((0.3, 0.6, 0.5), abs=1e-9)
-
-    def test_single_edge(self):
-        e = Triplet(0.2, 0.5, 0.3)
-        assert path_influence([e]) == e
-
-    def test_full_truth_is_identity(self):
-        x = Triplet(0.4, 0.2, 0.7)
-        assert path_influence([Triplet(1, 0, 0), x]) == x
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(UsageError):
-            path_influence([])
-
-    @given(
-        st.lists(
-            st.builds(
-                Triplet,
-                st.fractions(min_value=0, max_value=1, max_denominator=32),
-                st.fractions(min_value=0, max_value=1, max_denominator=32),
-                st.fractions(min_value=0, max_value=1, max_denominator=32),
-            ),
-            min_size=2,
-            max_size=5,
-        )
-    )
-    def test_fold_direction_irrelevant(self, edges):
-        from neutroset.operators import OperatorSystem, SystemKind, conjunct
-
-        sys = OperatorSystem(SystemKind.NS)
-        forward = path_influence(edges)
-        backward = edges[-1]
-        for e in reversed(edges[:-1]):
-            backward = conjunct(e, backward, sys)
-        assert forward == backward

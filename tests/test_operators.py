@@ -21,6 +21,7 @@ from neutroset.core import (
     UsageError,
     leftover,
     scalar_of,
+    sums_to_one,
     sup_of,
 )
 from neutroset.families import (
@@ -238,7 +239,8 @@ HIGH_F = Triplet(FLOAT_VALUES[1], 0.0, 1.0)
 
 def assert_middle_slot_is_the_hesitancy(a: Triplet, b: Triplet, sys: OperatorSystem) -> None:
     for r in (conjunct(a, b, sys), disjunct(a, b, sys)):
-        assert r.i == hesitancy(Pair.from_triplet(r), FamilySpec(FamilyKind.IFS)).v
+        assert sums_to_one(r.component_sum())
+        assert r.i == hesitancy(Pair(r.t, r.f), FamilySpec(FamilyKind.IFS)).v
 
 
 class TestIfsMiddleSlotIsTheHesitancy:
@@ -286,7 +288,8 @@ class TestBandResultsClose:
         assert [(type(v), v) for v in got.components()] == [(Fraction, v) for v in want]
         assert sum(want) == 1
         if kind is SystemKind.IFS:
-            assert got.i == hesitancy(Pair.from_triplet(got), FamilySpec(FamilyKind.IFS)).v
+            assert sums_to_one(got.component_sum())
+            assert got.i == hesitancy(Pair(got.t, got.f), FamilySpec(FamilyKind.IFS)).v
         family = operators.system_family(sys)
         a_set, b_set = (LabeledSet(("x",), [x], family) for x in (a, b))
         assert typed(setwise(a_set, b_set, op, sys)) == [[(Fraction, repr(v)) for v in want]]
@@ -321,6 +324,15 @@ class TestFamilyInclusion:
         for m, inner in enumerate(chain):
             for n, outer in enumerate(chain):
                 assert includes(outer, inner) == (m <= n)
+
+    @pytest.mark.parametrize("outer, inner, want", [
+        (FamilySpec(FamilyKind.SFS), FamilySpec(FamilyKind.SFS), True),
+        (FamilySpec(FamilyKind.NS), FamilySpec(FamilyKind.SFS), False),
+        (FamilySpec(FamilyKind.SFS), FamilySpec(FamilyKind.NS), False),
+        (FamilySpec(FamilyKind.QROFS, 2), FamilySpec(FamilyKind.QROFS, 3), False),
+    ])
+    def test_outside_the_chain_a_family_includes_only_itself(self, outer, inner, want):
+        assert includes(outer, inner) is want
 
     def test_implication_checks_each_operand_once(self, monkeypatch):
         calls = []
@@ -437,6 +449,10 @@ class TestAlgebraicProperties:
     @given(ns_triplets_f(), ns_triplets_f(), ns_triplets_f())
     def test_ns_minmax_associative(self, a, b, c):
         assert conjunct(conjunct(a, b, NS), c, NS) == conjunct(a, conjunct(b, c, NS), NS)
+
+    def test_ns_full_truth_is_the_identity_of_conjunction(self):
+        x = Triplet(0.4, 0.2, 0.7)
+        assert conjunct(Triplet(1, 0, 0), x, NS) == x
 
     @given(ns_triplets_f())
     def test_ns_idempotent_minmax(self, a):
@@ -1111,7 +1127,8 @@ class TestTrustIsOnlyAShortCut:
         assume(validate(pair, ifs).valid)
         triplet = embed_into_ns(pair, ifs)
         assert LabeledSet(("p",), (triplet,), ifs).triplets == (triplet,)
-        back = Pair.from_triplet(triplet)
+        assert sums_to_one(triplet.component_sum())
+        back = Pair(triplet.t, triplet.f)
         assert [(type(v), repr(v)) for v in back.components()] == [(type(v), repr(v)) for v in pair]
         assert classify_cube_region(triplet) is CubeRegion.COMPLETE
 

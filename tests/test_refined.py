@@ -331,9 +331,13 @@ class TestRefineCoarsen:
             ((2, 1), None, "arities must be three counts (p, r, s), got (2, 1)"),
             ((2, 1, 1, 1), None, "arities must be three counts (p, r, s), got (2, 1, 1, 1)"),
             (3, None, "arities must be three counts (p, r, s), got 3"),
+            ((2.5, 1, 1), None, "arities must be three counts (p, r, s), got (2.5, 1, 1)"),
+            (("a", "b", "c"), None, "arities must be three counts (p, r, s), got ('a', 'b', 'c')"),
+            ((True, 1, 1), None, "arities must be three counts (p, r, s), got (True, 1, 1)"),
         ],
         ids=["string-weight", "fraction-string-weight", "bool-weights", "none-weight", "nan-weight", "inf-weight",
-             "two-groups", "four-groups", "two-arities", "four-arities", "int-arities"],
+             "two-groups", "four-groups", "two-arities", "four-arities", "int-arities", "float-arity",
+             "string-arities", "bool-arity"],
     )
     def test_refine_refuses_what_it_cannot_split_by(self, arities, weights, message):
         with pytest.raises(UsageError) as info:
